@@ -194,6 +194,7 @@ def run_solve(
             "ratio": search_cut / optimal,
             "evals": trace.total_evals,
             "iterations": len(trace.records),
+            "diagnostics": dict(trace.diagnostics),
         },
         "refine": {
             "energy": result.value,

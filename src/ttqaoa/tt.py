@@ -3,24 +3,31 @@
 A distribution over d-dimensional multi-indices is stored as a chain of
 three-way cores, core k shaped (R_k, N_k, R_{k+1}) with boundary ranks 1.
 Point evaluation, marginalization, exact conditional sampling, and analytic
-log-likelihood gradients each cost O(d N R^2) or less, so the object scales
-to grids far beyond enumeration.
+log-likelihood gradients each cost O(d N R^2) or less per index.
 
-Two sampling schemes share the sequential-conditional machinery:
+sample draws with probability proportional to the tensor entry (suffix sums
+from right_marginals give the conditionals); sample_squared draws in
+proportion to the squared entry (suffix Gram matrices).  Squaring sharpens
+the contrast between high- and low-mass regions and keeps every index
+reachable after ascent drives core entries through zero, which is what the
+optimizer needs to concentrate within a small budget.
 
-* sample draws with probability proportional to the tensor entry itself
-  (suffix sums from right_marginals supply the exact univariate
-  conditionals).
-* sample_squared draws with probability proportional to the squared entry
-  (suffix Gram matrices supply the conditionals).  Squaring sharpens the
-  contrast between high- and low-mass regions and keeps every index
-  reachable even after ascent drives some core entries through zero, which
-  is what the optimizer needs to concentrate within a small budget.
+Both schemes, single draws and batches alike, run through one kernel that
+draws K indices together, one dimension at a time, from a (K, R) array of
+left interfaces and one uniform per draw out of one rng.random((K, d)) block.
+Generator.choice(n, p=...) consumes one double per call and maps it through
+cumsum(p) / cumsum(p)[-1] and a right-sided search.  The kernel repeats that
+arithmetic, so a batch equals K sequential choice-based draws, draw for draw.
 
-Gradient ascent on the cores can push entries negative.  No positivity
-constraint is enforced; instead the linear sampler clamps negative
-conditional weights to zero, and either sampler falls back to a uniform
-draw on a vanished conditional (counted in the diagnostics dict).
+One gradient kernel serves log_value_grad and ascent_step: it gathers every
+core's chosen slices for all indices, builds prefix and suffix interfaces
+with batched matrix products, and scatter-adds the outer products, so
+repeated indices accumulate in batch order.
+
+Ascent can push core entries negative.  No positivity constraint is
+enforced; the samplers clamp negative conditional weights to zero and fall
+back to a uniform draw on a vanished conditional (counted in the
+diagnostics dict).  A non-finite conditional weight raises ValueError.
 """
 from __future__ import annotations
 
@@ -113,52 +120,69 @@ def total_mass(t: TTDistribution) -> float:
     return float(right_marginals(t)[0][0])
 
 
+def _draw(
+    t: TTDistribution,
+    count: int,
+    rng: np.random.Generator,
+    suffix: list[np.ndarray],
+    squared: bool,
+    diagnostics: dict[str, int] | None,
+) -> list[tuple[int, ...]]:
+    """Draw count multi-indices by sequential univariate conditionals.
+
+    At step k, node i's unnormalized weight is v_i @ suffix[k+1] (linear) or
+    v_i suffix[k+1] v_i^T (squared), v_i = phi @ core_k[:, i, :].  Negative
+    weights clamp to zero; an all-zero conditional draws uniformly and bumps
+    diagnostics["uniform_fallbacks"].  phi is rescaled by its max-abs entry
+    after each draw to dodge under/overflow.
+    """
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
+    uniforms = rng.random((count, t.d))
+    draws = np.empty((count, t.d), dtype=np.intp)
+    phi = np.ones((count, 1))
+    for k, core in enumerate(t.cores):
+        vecs = np.einsum("kr,rns->kns", phi, core)
+        if squared:
+            weights = np.einsum("kns,st,knt->kn", vecs, suffix[k + 1], vecs)
+        else:
+            weights = vecs @ suffix[k + 1]
+        weights = np.clip(weights, 0.0, None)
+        mass = weights.sum(axis=1)
+        if not np.isfinite(mass).all():
+            raise ValueError(f"non-finite conditional weight in axis {k}")
+        vanished = mass <= 0.0
+        weights[vanished] = 1.0
+        mass[vanished] = weights.shape[1]
+        if diagnostics is not None and vanished.any():
+            diagnostics["uniform_fallbacks"] = diagnostics.get("uniform_fallbacks", 0) + int(vanished.sum())
+        cdf = np.cumsum(weights / mass[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        draws[:, k] = (cdf <= uniforms[:, k, None]).sum(axis=1)
+        phi = vecs[np.arange(count), draws[:, k]]
+        peak = np.abs(phi).max(axis=1, keepdims=True)
+        phi = phi / np.where(peak > 0.0, peak, 1.0)
+    return [tuple(row) for row in draws.tolist()]
+
+
 def sample(
     t: TTDistribution,
     rng: np.random.Generator,
     marginals: list[np.ndarray] | None = None,
     diagnostics: dict[str, int] | None = None,
 ) -> tuple[int, ...]:
-    """Draw one multi-index by sequential univariate conditionals.
-
-    At step k the unnormalized conditional over the N_k nodes is
-    phi @ core_k[:, i, :] @ suffix, with the left interface phi rescaled by
-    its max-abs entry after each draw to dodge under/overflow.  Negative
-    weights are clamped to zero; an all-zero conditional falls back to a
-    uniform draw and bumps diagnostics["uniform_fallbacks"].
-    """
+    """Draw one multi-index with probability proportional to the entry."""
     if marginals is None:
         marginals = right_marginals(t)
-    phi = np.ones(1)
-    out = []
-    for k in range(t.d):
-        weights = np.einsum("r,rns,s->n", phi, t.cores[k], marginals[k + 1])
-        weights = np.clip(weights, 0.0, None)
-        mass = weights.sum()
-        if mass <= 0.0:
-            if diagnostics is not None:
-                diagnostics["uniform_fallbacks"] = diagnostics.get("uniform_fallbacks", 0) + 1
-            weights = np.full(weights.size, 1.0)
-            mass = float(weights.size)
-        i = int(rng.choice(weights.size, p=weights / mass))
-        out.append(i)
-        phi = phi @ t.cores[k][:, i, :]
-        peak = np.max(np.abs(phi))
-        if peak > 0.0:
-            phi = phi / peak
-    return tuple(out)
+    return _draw(t, 1, rng, marginals, False, diagnostics)[0]
 
 
 def sample_batch(
     t: TTDistribution, count: int, rng: np.random.Generator
 ) -> tuple[list[tuple[int, ...]], dict[str, int]]:
     """Draw count multi-indices sharing one marginal sweep; returns diagnostics."""
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
-    marginals = right_marginals(t)
     diagnostics: dict[str, int] = {}
-    draws = [sample(t, rng, marginals, diagnostics) for _ in range(count)]
-    return draws, diagnostics
+    return _draw(t, count, rng, right_marginals(t), False, diagnostics), diagnostics
 
 
 def suffix_grams(t: TTDistribution) -> list[np.ndarray]:
@@ -186,58 +210,42 @@ def sample_squared(
     grams: list[np.ndarray] | None = None,
     diagnostics: dict[str, int] | None = None,
 ) -> tuple[int, ...]:
-    """Draw one multi-index with probability proportional to the squared entry.
-
-    At step k the unnormalized conditional for node i is the quadratic form
-    v_i M_{k+1} v_i^T with v_i = phi @ core_k[:, i, :], which is nonnegative
-    up to roundoff whatever the sign pattern of the cores.  An all-zero
-    conditional falls back to a uniform draw and bumps
-    diagnostics["uniform_fallbacks"].
-    """
+    """Draw one multi-index with probability proportional to the squared entry."""
     if grams is None:
         grams = suffix_grams(t)
-    phi = np.ones(1)
-    out = []
-    for k in range(t.d):
-        vecs = np.einsum("r,rns->ns", phi, t.cores[k])
-        weights = np.einsum("ns,st,nt->n", vecs, grams[k + 1], vecs)
-        weights = np.clip(weights, 0.0, None)
-        mass = weights.sum()
-        if mass <= 0.0:
-            if diagnostics is not None:
-                diagnostics["uniform_fallbacks"] = diagnostics.get("uniform_fallbacks", 0) + 1
-            weights = np.full(weights.size, 1.0)
-            mass = float(weights.size)
-        i = int(rng.choice(weights.size, p=weights / mass))
-        out.append(i)
-        phi = vecs[i]
-        peak = np.max(np.abs(phi))
-        if peak > 0.0:
-            phi = phi / peak
-    return tuple(out)
+    return _draw(t, 1, rng, grams, True, diagnostics)[0]
 
 
 def sample_squared_batch(
     t: TTDistribution, count: int, rng: np.random.Generator
 ) -> tuple[list[tuple[int, ...]], dict[str, int]]:
     """Draw count squared-scheme multi-indices sharing one Gram sweep."""
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
-    grams = suffix_grams(t)
     diagnostics: dict[str, int] = {}
-    draws = [sample_squared(t, rng, grams, diagnostics) for _ in range(count)]
-    return draws, diagnostics
+    return _draw(t, count, rng, suffix_grams(t), True, diagnostics), diagnostics
 
 
-def _interfaces(t: TTDistribution, idx: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """Prefix and suffix chain products of the chosen slices, plus the value."""
-    pre = [np.ones(1)]
-    for k in range(t.d):
-        pre.append(pre[k] @ t.cores[k][:, idx[k], :])
-    suf = [np.ones(1)] * (t.d + 1)
+def _log_grads(t: TTDistribution, idx: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Summed gradient of ln(value) over the rows of an (E, d) index array.
+
+    Each index adds outer(prefix, suffix) / value to its slice of each core;
+    values <= 0 divide as VALUE_FLOOR.  Also returns the unclamped values.
+    """
+    ones = np.ones((len(idx), 1, 1))
+    slices = [core[:, idx[:, k], :].transpose(1, 0, 2) for k, core in enumerate(t.cores)]
+    pre = [ones]
+    for s in slices:
+        pre.append(pre[-1] @ s)
+    suf = [ones] * (t.d + 1)
     for k in range(t.d - 1, -1, -1):
-        suf[k] = t.cores[k][:, idx[k], :] @ suf[k + 1]
-    return pre, suf, float(pre[t.d][0])
+        suf[k] = slices[k] @ suf[k + 1]
+    values = pre[t.d][:, 0, 0]
+    divisor = np.where(values <= 0.0, VALUE_FLOOR, values)[:, None, None]
+    grads = []
+    for k, core in enumerate(t.cores):
+        g = np.zeros((core.shape[1], core.shape[0], core.shape[2]))
+        np.add.at(g, idx[:, k], pre[k].transpose(0, 2, 1) * suf[k + 1].transpose(0, 2, 1) / divisor)
+        grads.append(g.transpose(1, 0, 2))
+    return grads, values
 
 
 def log_value_grad(t: TTDistribution, idx: Sequence[int]) -> list[np.ndarray]:
@@ -247,14 +255,9 @@ def log_value_grad(t: TTDistribution, idx: Sequence[int]) -> list[np.ndarray]:
     outer product of the prefix and suffix interfaces divided by the value.
     """
     idx = _check_index(t, idx)
-    pre, suf, value = _interfaces(t, idx)
-    if value <= 0.0:
-        raise ValueError(f"tensor value {value} at {idx} is not positive; log-gradient undefined")
-    grads = []
-    for k, core in enumerate(t.cores):
-        g = np.zeros_like(core)
-        g[:, idx[k], :] = np.outer(pre[k], suf[k + 1]) / value
-        grads.append(g)
+    grads, values = _log_grads(t, np.array([idx]))
+    if values[0] <= 0.0:
+        raise ValueError(f"tensor value {values[0]} at {idx} is not positive; log-gradient undefined")
     return grads
 
 
@@ -276,19 +279,15 @@ def ascent_step(
         raise ValueError("ascent batch must be non-empty")
     if learning_rate < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {learning_rate}")
-    checked = [_check_index(t, idx) for idx in batch]
+    if step_count < 0:
+        raise ValueError(f"step count must be >= 0, got {step_count}")
+    idx = np.array([_check_index(t, i) for i in batch])
     diagnostics = {"clamped_values": 0}
     for _ in range(step_count):
-        accum = [np.zeros_like(core) for core in t.cores]
-        for idx in checked:
-            pre, suf, value = _interfaces(t, idx)
-            if value <= 0.0:
-                value = VALUE_FLOOR
-                diagnostics["clamped_values"] += 1
-            for k in range(t.d):
-                accum[k][:, idx[k], :] += np.outer(pre[k], suf[k + 1]) / value
-        for k in range(t.d):
-            t.cores[k] += learning_rate * accum[k]
+        grads, values = _log_grads(t, idx)
+        diagnostics["clamped_values"] += int((values <= 0.0).sum())
+        for core, g in zip(t.cores, grads):
+            core += learning_rate * g
     return diagnostics
 
 

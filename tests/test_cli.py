@@ -182,6 +182,9 @@ def test_main_solve_writes_artifacts(tmp_path):
     assert report["protes_config"]["budget"] == 40
     assert report["protes"]["evals"] <= 40
     assert report["refine"]["evals"] <= 300
+    diagnostics = report["protes"]["diagnostics"]
+    assert set(diagnostics) == {"cache_hits", "clamped_values", "uniform_fallbacks"}
+    assert all(type(v) is int and v >= 0 for v in diagnostics.values())
     # Refinement starts from the search optimum, so it can only improve.
     assert report["refine"]["ratio"] >= report["protes"]["ratio"] - 1e-12
     assert abs(report["refine"]["ratio"] - 0.9564) < 0.01

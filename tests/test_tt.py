@@ -6,6 +6,7 @@ import pytest
 from ttqaoa.tt import (
     CHECKPOINT_MAGIC,
     INIT_FLOOR,
+    VALUE_FLOOR,
     TTDistribution,
     ascent_step,
     load_tt_text,
@@ -17,6 +18,7 @@ from ttqaoa.tt import (
     sample_squared,
     sample_squared_batch,
     save_tt_text,
+    suffix_grams,
     total_mass,
     tt_value,
 )
@@ -47,6 +49,106 @@ def one_hot_tt(shape, idx):
         core[0, i, 0] = 1.0
         cores.append(core)
     return TTDistribution(cores)
+
+
+# Per-sample and per-index loops, kept as references for the batched kernels:
+# one rng.choice call per draw, one interface sweep per index.
+
+
+def ref_sample(t, rng, marginals, diagnostics):
+    phi = np.ones(1)
+    out = []
+    for k in range(t.d):
+        weights = np.einsum("r,rns,s->n", phi, t.cores[k], marginals[k + 1])
+        weights = np.clip(weights, 0.0, None)
+        mass = weights.sum()
+        if mass <= 0.0:
+            diagnostics["uniform_fallbacks"] = diagnostics.get("uniform_fallbacks", 0) + 1
+            weights = np.full(weights.size, 1.0)
+            mass = float(weights.size)
+        i = int(rng.choice(weights.size, p=weights / mass))
+        out.append(i)
+        phi = phi @ t.cores[k][:, i, :]
+        peak = np.max(np.abs(phi))
+        if peak > 0.0:
+            phi = phi / peak
+    return tuple(out)
+
+
+def ref_sample_squared(t, rng, grams, diagnostics):
+    phi = np.ones(1)
+    out = []
+    for k in range(t.d):
+        vecs = np.einsum("r,rns->ns", phi, t.cores[k])
+        weights = np.einsum("ns,st,nt->n", vecs, grams[k + 1], vecs)
+        weights = np.clip(weights, 0.0, None)
+        mass = weights.sum()
+        if mass <= 0.0:
+            diagnostics["uniform_fallbacks"] = diagnostics.get("uniform_fallbacks", 0) + 1
+            weights = np.full(weights.size, 1.0)
+            mass = float(weights.size)
+        i = int(rng.choice(weights.size, p=weights / mass))
+        out.append(i)
+        phi = vecs[i]
+        peak = np.max(np.abs(phi))
+        if peak > 0.0:
+            phi = phi / peak
+    return tuple(out)
+
+
+def ref_batch(t, count, rng, squared):
+    diagnostics = {}
+    if squared:
+        grams = suffix_grams(t)
+        return [ref_sample_squared(t, rng, grams, diagnostics) for _ in range(count)], diagnostics
+    marginals = right_marginals(t)
+    return [ref_sample(t, rng, marginals, diagnostics) for _ in range(count)], diagnostics
+
+
+def ref_interfaces(t, idx):
+    pre = [np.ones(1)]
+    for k in range(t.d):
+        pre.append(pre[k] @ t.cores[k][:, idx[k], :])
+    suf = [np.ones(1)] * (t.d + 1)
+    for k in range(t.d - 1, -1, -1):
+        suf[k] = t.cores[k][:, idx[k], :] @ suf[k + 1]
+    return pre, suf, float(pre[t.d][0])
+
+
+def ref_log_value_grad(t, idx):
+    pre, suf, value = ref_interfaces(t, idx)
+    grads = []
+    for k, core in enumerate(t.cores):
+        g = np.zeros_like(core)
+        g[:, idx[k], :] = np.outer(pre[k], suf[k + 1]) / value
+        grads.append(g)
+    return grads
+
+
+def ref_ascent_step(t, batch, learning_rate, step_count):
+    diagnostics = {"clamped_values": 0}
+    for _ in range(step_count):
+        accum = [np.zeros_like(core) for core in t.cores]
+        for idx in batch:
+            pre, suf, value = ref_interfaces(t, idx)
+            if value <= 0.0:
+                value = VALUE_FLOOR
+                diagnostics["clamped_values"] += 1
+            for k in range(t.d):
+                accum[k][:, idx[k], :] += np.outer(pre[k], suf[k + 1]) / value
+        for k in range(t.d):
+            t.cores[k] += learning_rate * accum[k]
+    return diagnostics
+
+
+def copy_tt(t):
+    return TTDistribution([core.copy() for core in t.cores])
+
+
+def assert_cores_close(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def empirical_tv(draws, probs):
@@ -177,6 +279,54 @@ def test_sample_uniform_fallback_on_zero_mass():
     assert diag["uniform_fallbacks"] == 1
 
 
+def random_shape_tts():
+    """Random shapes with positive, signed and zero-mass cores."""
+    rng = np.random.default_rng(21)
+    for case in range(30):
+        d, n_nodes, rank = int(rng.integers(1, 6)), int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        t = random_tt(d, n_nodes, rank, rng) if case % 2 else signed_tt(d, n_nodes, rank, case)
+        yield t, int(rng.integers(1, 40))
+    # Every conditional vanishes: uniform fallback at each axis of each draw.
+    yield TTDistribution([np.zeros((1, 3, 2)), np.zeros((2, 4, 1))]), 25
+    # Core 1 sums to zero over its nodes, so the linear scheme's first
+    # conditional vanishes and the draws go on from uniform first nodes.
+    rng = np.random.default_rng(22)
+    half = rng.standard_normal((2, 3, 2))
+    yield TTDistribution([rng.random((1, 4, 2)), np.concatenate([half, -half], axis=1), rng.random((2, 5, 1))]), 25
+
+
+def test_batched_draws_match_sequential_reference():
+    fallbacks = {False: 0, True: 0}
+    for case, (t, count) in enumerate(random_shape_tts()):
+        for squared, batch_fn, single_fn in (
+            (False, sample_batch, sample),
+            (True, sample_squared_batch, sample_squared),
+        ):
+            want, want_diag = ref_batch(t, count, np.random.default_rng(case), squared)
+            got, got_diag = batch_fn(t, count, np.random.default_rng(case))
+            assert got == want
+            assert got_diag.get("uniform_fallbacks", 0) == want_diag.get("uniform_fallbacks", 0)
+            # Single draws from one generator continue the same stream.
+            rng = np.random.default_rng(case)
+            single_diag = {}
+            assert [single_fn(t, rng, diagnostics=single_diag) for _ in range(count)] == want
+            assert single_diag.get("uniform_fallbacks", 0) == want_diag.get("uniform_fallbacks", 0)
+            fallbacks[squared] += want_diag.get("uniform_fallbacks", 0)
+    assert min(fallbacks.values()) > 0
+
+
+def test_sample_rejects_non_finite_weights():
+    for bad in (np.inf, np.nan):
+        t = TTDistribution([np.array([1.0, bad, 2.0]).reshape(1, 3, 1), np.ones((1, 2, 1))])
+        with np.errstate(invalid="ignore"):
+            for fn in (sample, sample_squared):
+                with pytest.raises(ValueError):
+                    fn(t, np.random.default_rng(0))
+            for fn in (sample_batch, sample_squared_batch):
+                with pytest.raises(ValueError):
+                    fn(t, 5, np.random.default_rng(0))
+
+
 def test_sample_squared_scale_invariant():
     t = signed_tt(3, 5, 2, 10)
     scaled = TTDistribution([c * s for c, s in zip(t.cores, (7.0, 0.01, 300.0))])
@@ -231,6 +381,29 @@ def test_log_value_grad_rejects_nonpositive():
         log_value_grad(t, (0,))
 
 
+def test_gradients_match_per_index_reference():
+    rng = np.random.default_rng(23)
+    for case in range(20):
+        d, n_nodes, rank = int(rng.integers(1, 6)), int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        t = random_tt(d, n_nodes, rank, rng) if case % 2 else signed_tt(d, n_nodes, rank, case)
+        batch = [tuple(int(i) for i in rng.integers(0, n_nodes, d)) for _ in range(int(rng.integers(1, 8)))]
+        batch += batch[:2]
+        if tt_value(t, batch[0]) > 0.0:
+            assert_cores_close(log_value_grad(t, batch[0]), ref_log_value_grad(t, batch[0]))
+        want = copy_tt(t)
+        want_diag = ref_ascent_step(want, batch, 0.05, 3)
+        assert ascent_step(t, batch, 0.05, 3) == want_diag
+        assert_cores_close(t.cores, want.cores)
+    # A value at or below zero is clamped for the division and counted; the
+    # first round's step through 1 / VALUE_FLOOR makes the value positive.
+    t = TTDistribution([np.array([-1.0, 2.0]).reshape(1, 2, 1)])
+    want = copy_tt(t)
+    want_diag = ref_ascent_step(want, [(0,), (1,), (0,)], 0.01, 2)
+    assert want_diag["clamped_values"] == 2
+    assert ascent_step(t, [(0,), (1,), (0,)], 0.01, 2) == want_diag
+    assert_cores_close(t.cores, want.cores)
+
+
 def test_ascent_step_zero_rate_is_identity():
     t = random_tt(3, 4, 2, np.random.default_rng(15))
     before = [c.copy() for c in t.cores]
@@ -278,6 +451,8 @@ def test_ascent_step_argument_guards():
         ascent_step(t, [], 0.1, 1)
     with pytest.raises(ValueError):
         ascent_step(t, [(0, 0)], -0.1, 1)
+    with pytest.raises(ValueError):
+        ascent_step(t, [(0, 0)], 0.1, -1)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
