@@ -13,6 +13,7 @@ go to stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -22,7 +23,6 @@ import numpy as np
 
 from .graph import (
     Graph,
-    GraphFormatError,
     brute_force_max_cut,
     cut_value,
     load_graph,
@@ -170,22 +170,8 @@ def run_solve(
         "backend": backend.value,
         "seed": master_seed,
         "shots": shots,
-        "protes_config": {
-            "rank": protes_cfg.rank,
-            "batch_size": protes_cfg.batch_size,
-            "elite_count": protes_cfg.elite_count,
-            "ascent_steps": protes_cfg.ascent_steps,
-            "learning_rate": protes_cfg.learning_rate,
-            "nodes_per_dim": protes_cfg.nodes_per_dim,
-            "budget": protes_cfg.budget,
-            "seed": protes_cfg.seed,
-        },
-        "refine_config": {
-            "max_evals": refine_cfg.max_evals,
-            "initial_step": refine_cfg.initial_step,
-            "tol": refine_cfg.tol,
-            "seed": refine_cfg.seed,
-        },
+        "protes_config": dataclasses.asdict(protes_cfg),
+        "refine_config": dataclasses.asdict(refine_cfg),
         "optimal_cut": optimal,
         "optimal_coloring": list(colors),
         "protes": {
@@ -355,7 +341,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (GraphFormatError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

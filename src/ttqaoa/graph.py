@@ -73,15 +73,12 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise GraphFormatError(f"malformed header line {lines[0]!r}: expected two integers") from None
-    if n < 1:
-        raise GraphFormatError(f"vertex count must be positive, got {n}")
     if m < 0:
         raise GraphFormatError(f"edge count must be non-negative, got {m}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"declared {m} edges but found {len(lines) - 1} edge lines")
 
     edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) not in (2, 3):
@@ -91,18 +88,12 @@ def parse_edge_list(text: str) -> Graph:
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise GraphFormatError(f"malformed edge line {ln!r}: non-numeric token") from None
-        if not (0 <= i < n) or not (0 <= j < n):
-            raise GraphFormatError(f"vertex index out of range [0, {n}) in edge line {ln!r}")
-        if i == j:
-            raise GraphFormatError(f"self-loop on vertex {i} is not allowed")
-        if not np.isfinite(w) or w < 0:
-            raise GraphFormatError(f"negative or non-finite weight in edge line {ln!r}")
-        a, b = (i, j) if i < j else (j, i)
-        if (a, b) in seen:
-            raise GraphFormatError(f"duplicate edge ({a}, {b})")
-        seen.add((a, b))
-        edges.append((a, b, w))
-    return Graph(n, tuple(edges))
+        edges.append((i, j, w))
+    # Graph owns every structural check: vertex count, ranges, loops, weights, duplicates.
+    try:
+        return Graph(n, tuple(edges))
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc
 
 
 def load_graph(path) -> Graph:

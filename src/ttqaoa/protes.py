@@ -80,18 +80,9 @@ def index_to_angles(idx: Sequence[int], nodes_per_dim: int) -> np.ndarray:
     return out
 
 
-def evaluation_plan(samples: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Distinct indices in first-appearance order plus a position for each sample."""
-    seen: dict[tuple[int, ...], int] = {}
-    distinct: list[tuple[int, ...]] = []
-    positions: list[int] = []
-    for idx in samples:
-        key = tuple(idx)
-        if key not in seen:
-            seen[key] = len(distinct)
-            distinct.append(key)
-        positions.append(seen[key])
-    return distinct, positions
+def evaluation_plan(samples: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Distinct indices in first-appearance order."""
+    return list(dict.fromkeys(tuple(idx) for idx in samples))
 
 
 def optimize(
@@ -123,8 +114,7 @@ def optimize(
         it += 1
         samples, sample_diag = sample_squared_batch(t, config.batch_size, rng)
         diagnostics["uniform_fallbacks"] += sample_diag.get("uniform_fallbacks", 0)
-        distinct, _ = evaluation_plan(samples)
-        for idx in distinct:
+        for idx in evaluation_plan(samples):
             if idx in cache:
                 diagnostics["cache_hits"] += 1
             elif len(cache) < config.budget:

@@ -14,8 +14,9 @@ import numpy as np
 
 from .graph import Graph, total_weight
 
-# Dense cost vectors of length 4**n; beyond this the diagonal no longer fits desk scale.
-MAX_DENSE_VERTICES = 13
+# Dense registers of 2**24 amplitudes (a 256 MiB complex state): 12 vertices on
+# the diagonal backend, 11 with the gate backend's two ancillas.
+MAX_QUBITS = 24
 
 # Per-edge interaction over the two vertices' bit pairs: +1 when the pairs
 # encode the same color (the 2/3 rows alias to one color), -1 otherwise.
@@ -72,8 +73,8 @@ def build_cost_diagonal(g: Graph) -> CostDiagonal:
     Entry z holds the sum over edges of w_ij * table[b_i(z), b_j(z)], where
     b_i(z) is vertex i's two-bit field of z.
     """
-    if g.n > MAX_DENSE_VERTICES:
-        raise ValueError(f"dense cost diagonal limited to {MAX_DENSE_VERTICES} vertices, got {g.n}")
+    if 2 * g.n > MAX_QUBITS:
+        raise ValueError(f"dense cost diagonal limited to {MAX_QUBITS} qubits, got {2 * g.n} for {g.n} vertices")
     z = np.arange(4**g.n, dtype=np.int64)
     values = np.zeros(z.size)
     for i, j, w in g.edges:

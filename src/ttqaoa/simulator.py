@@ -16,6 +16,12 @@ Qubit layout follows qaoa_model: vertex i's pair sits in bits (2i, 2i+1) of
 the basis index.  On the GATE backend the two ancillas are the most
 significant qubits; they start in |0> and are restored to |0> after every
 edge block, so they never entangle with the color register.
+
+X, CX, CCX and the controlled phase address qubits through one strided view:
+the state reshaped to one length-2 axis per qubit, with the listed qubits'
+bits fixed; no index array is built.  Registers (2n color qubits, plus the
+two ancillas on GATE) are checked against qaoa_model.MAX_QUBITS in
+make_instance, before the cost diagonal is built.
 """
 from __future__ import annotations
 
@@ -27,9 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph
-from .qaoa_model import CostDiagonal, build_cost_diagonal
+from .qaoa_model import MAX_QUBITS, CostDiagonal, build_cost_diagonal
 
-MAX_QUBITS = 24
 NORM_TOL = 1e-10
 
 
@@ -75,21 +80,25 @@ class QaoaInstance:
     backend: Backend
 
 
+def _register_qubits(n: int, backend: Backend) -> int:
+    """Qubits of an n-vertex register: 2n colors, plus two ancillas on GATE."""
+    qubits = 2 * n + (2 if Backend(backend) is Backend.GATE else 0)
+    if qubits > MAX_QUBITS:
+        raise ValueError(f"{qubits} qubits exceed the {MAX_QUBITS}-qubit dense limit")
+    return qubits
+
+
 def make_instance(graph: Graph, depth: int, backend: Backend = Backend.DIAGONAL) -> QaoaInstance:
     if depth < 1:
         raise ValueError(f"circuit depth must be >= 1, got {depth}")
+    _register_qubits(graph.n, backend)
     return QaoaInstance(graph, depth, build_cost_diagonal(graph), Backend(backend))
 
 
-def _num_qubits(state: np.ndarray) -> int:
+def _check_qubits(state: np.ndarray, *qubits: int) -> int:
     q = int(state.size).bit_length() - 1
     if state.size != 1 << q:
         raise ValueError(f"statevector length {state.size} is not a power of two")
-    return q
-
-
-def _check_qubits(state: np.ndarray, *qubits: int) -> int:
-    q = _num_qubits(state)
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"qubit indices must be distinct, got {qubits}")
     for t in qubits:
@@ -108,13 +117,26 @@ def _apply_single(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarr
     return state
 
 
-def apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
-    _check_qubits(state, qubit)
-    psi = state.reshape(-1, 2, 1 << qubit)
-    tmp = psi[:, 0, :].copy()
-    psi[:, 0, :] = psi[:, 1, :]
-    psi[:, 1, :] = tmp
+def _view(state: np.ndarray, q: int, bits: dict[int, int]) -> np.ndarray:
+    """Strided view of the amplitudes whose qubit t holds bits[t] for each listed t."""
+    index = [bits.get(t, slice(None)) for t in range(q - 1, -1, -1)]
+    # The trailing Ellipsis keeps the all-qubits-fixed case a 0-d view, not a scalar.
+    return state.reshape((2,) * q)[(*index, ...)]
+
+
+def _controlled_x(state: np.ndarray, controls: tuple[int, ...], target: int) -> np.ndarray:
+    """Flip the target where every control is 1: swap its 0 and 1 views."""
+    q = _check_qubits(state, *controls, target)
+    on = dict.fromkeys(controls, 1)
+    v0, v1 = _view(state, q, {**on, target: 0}), _view(state, q, {**on, target: 1})
+    tmp = v0.copy()
+    v0[...] = v1
+    v1[...] = tmp
     return state
+
+
+def apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
+    return _controlled_x(state, (), qubit)
 
 
 def apply_h(state: np.ndarray, qubit: int) -> np.ndarray:
@@ -132,39 +154,18 @@ def apply_rx(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
 
 
 def apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    _check_qubits(state, control, target)
-    idx = np.arange(state.size)
-    sel = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
-    flipped = sel | (1 << target)
-    tmp = state[sel].copy()
-    state[sel] = state[flipped]
-    state[flipped] = tmp
-    return state
+    return _controlled_x(state, (control,), target)
 
 
 def apply_ccx(state: np.ndarray, control_a: int, control_b: int, target: int) -> np.ndarray:
-    _check_qubits(state, control_a, control_b, target)
-    idx = np.arange(state.size)
-    sel = idx[
-        ((idx >> control_a) & 1 == 1)
-        & ((idx >> control_b) & 1 == 1)
-        & ((idx >> target) & 1 == 0)
-    ]
-    flipped = sel | (1 << target)
-    tmp = state[sel].copy()
-    state[sel] = state[flipped]
-    state[flipped] = tmp
-    return state
+    return _controlled_x(state, (control_a, control_b), target)
 
 
 def apply_controlled_phase(state: np.ndarray, controls: Sequence[int], target: int, phi: float) -> np.ndarray:
     """Multiply by exp(i*phi) on basis states where the target and all controls are 1."""
-    _check_qubits(state, *controls, target)
-    idx = np.arange(state.size)
-    mask = (idx >> target) & 1 == 1
-    for c in controls:
-        mask &= (idx >> c) & 1 == 1
-    state[mask] *= np.exp(1j * phi)
+    q = _check_qubits(state, *controls, target)
+    view = _view(state, q, dict.fromkeys((*controls, target), 1))
+    view *= np.exp(1j * phi)
     return state
 
 
@@ -172,9 +173,7 @@ def prepare_initial(n: int, backend: Backend = Backend.DIAGONAL) -> np.ndarray:
     """Uniform superposition on the 2n color qubits; GATE adds two ancillas in |0>."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    qubits = 2 * n + (2 if Backend(backend) is Backend.GATE else 0)
-    if qubits > MAX_QUBITS:
-        raise ValueError(f"{qubits} qubits exceed the {MAX_QUBITS}-qubit dense limit")
+    qubits = _register_qubits(n, backend)
     state = np.zeros(1 << qubits, dtype=complex)
     state[: 4**n] = 2.0**-n
     return state
@@ -229,23 +228,16 @@ def apply_phase_gate_level(state: np.ndarray, g: Graph, gamma: float) -> np.ndar
         apply_cx(state, qi1, qj1)
         apply_cx(state, qi0, qj0)
 
-        # Pair (2, 3): X on the low bit makes vertex i's 10 readable as 11.
-        apply_x(state, qi1)
-        apply_ccx(state, qi0, qi1, anc0)
-        apply_ccx(state, qj0, qj1, anc1)
-        apply_controlled_phase(state, [anc0, anc1], qj1, phi)
-        apply_ccx(state, qj0, qj1, anc1)
-        apply_ccx(state, qi0, qi1, anc0)
-        apply_x(state, qi1)
-
-        # Pair (3, 2): mirror image with the X on vertex j's low bit.
-        apply_x(state, qj1)
-        apply_ccx(state, qi0, qi1, anc0)
-        apply_ccx(state, qj0, qj1, anc1)
-        apply_controlled_phase(state, [anc0, anc1], qj1, phi)
-        apply_ccx(state, qj0, qj1, anc1)
-        apply_ccx(state, qi0, qi1, anc0)
-        apply_x(state, qj1)
+        # Pairs (2, 3) then (3, 2): X on vertex i's, then vertex j's, low bit
+        # makes that vertex's 10 readable as 11.
+        for low in (qi1, qj1):
+            apply_x(state, low)
+            apply_ccx(state, qi0, qi1, anc0)
+            apply_ccx(state, qj0, qj1, anc1)
+            apply_controlled_phase(state, [anc0, anc1], qj1, phi)
+            apply_ccx(state, qj0, qj1, anc1)
+            apply_ccx(state, qi0, qi1, anc0)
+            apply_x(state, low)
     return state
 
 

@@ -80,6 +80,8 @@ def test_parse_comments_default_weight_and_canonicalization():
         "2 1\n1 1 1",
         "3 2\n0 1 1\n1 0 1",
         "2 1\n0 x 1",
+        "2 1\n0 1 nan",
+        "2 1\n0 1 inf",
     ],
 )
 def test_parse_errors(text):

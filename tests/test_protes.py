@@ -75,12 +75,9 @@ def test_index_to_angles():
 
 def test_evaluation_plan():
     same = [(1, 2)] * 4
-    distinct, positions = evaluation_plan(same)
-    assert distinct == [(1, 2)] and positions == [0, 0, 0, 0]
+    assert evaluation_plan(same) == [(1, 2)]
     mixed = [(0, 0), (1, 1), (0, 0), (2, 2)]
-    distinct, positions = evaluation_plan(mixed)
-    assert distinct == [(0, 0), (1, 1), (2, 2)]
-    assert positions == [0, 1, 0, 2]
+    assert evaluation_plan(mixed) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_optimize_dims_guard():

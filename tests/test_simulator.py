@@ -1,10 +1,11 @@
+import itertools
 import math
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from ttqaoa.graph import cut_value, parse_edge_list, total_weight
+from ttqaoa.graph import Graph, cut_value, parse_edge_list, random_complete_graph, total_weight
 from ttqaoa.qaoa_model import build_cost_diagonal, cut_from_energy, decode_bitstring
 from ttqaoa.simulator import (
     Backend,
@@ -33,6 +34,49 @@ K3 = parse_edge_list("3 3\n0 1 1\n0 2 1\n1 2 1")
 def basis(q, z):
     state = np.zeros(1 << q, dtype=complex)
     state[z] = 1.0
+    return state
+
+
+# Reference gates: the earlier reshape X and index-array/boolean-mask
+# CX, CCX and controlled phase, kept to check the strided-view gates against.
+def ref_x(state, qubit):
+    psi = state.reshape(-1, 2, 1 << qubit)
+    tmp = psi[:, 0, :].copy()
+    psi[:, 0, :] = psi[:, 1, :]
+    psi[:, 1, :] = tmp
+    return state
+
+
+def ref_cx(state, control, target):
+    idx = np.arange(state.size)
+    sel = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
+    flipped = sel | (1 << target)
+    tmp = state[sel].copy()
+    state[sel] = state[flipped]
+    state[flipped] = tmp
+    return state
+
+
+def ref_ccx(state, control_a, control_b, target):
+    idx = np.arange(state.size)
+    sel = idx[
+        ((idx >> control_a) & 1 == 1)
+        & ((idx >> control_b) & 1 == 1)
+        & ((idx >> target) & 1 == 0)
+    ]
+    flipped = sel | (1 << target)
+    tmp = state[sel].copy()
+    state[sel] = state[flipped]
+    state[flipped] = tmp
+    return state
+
+
+def ref_controlled_phase(state, controls, target, phi):
+    idx = np.arange(state.size)
+    mask = (idx >> target) & 1 == 1
+    for c in controls:
+        mask &= (idx >> c) & 1 == 1
+    state[mask] *= np.exp(1j * phi)
     return state
 
 
@@ -75,6 +119,13 @@ def test_qubit_limit_guard():
         prepare_initial(12, Backend.GATE)
 
 
+def test_make_instance_checks_qubit_limit_before_cost_diagonal():
+    # The 4**12-entry cost diagonal fits the limit, the 26-qubit gate register
+    # does not: make_instance must refuse before building the diagonal.
+    with pytest.raises(ValueError):
+        make_instance(Graph(12, ((0, 1, 1.0),)), 1, Backend.GATE)
+
+
 def test_gate_primitives_truth_tables():
     assert np.allclose(apply_x(basis(2, 0), 0), basis(2, 1))
     assert np.allclose(apply_x(basis(2, 0b10), 1), basis(2, 0))
@@ -84,6 +135,34 @@ def test_gate_primitives_truth_tables():
     assert np.allclose(apply_cx(basis(2, 0b10), 0, 1), basis(2, 0b10))
     assert np.allclose(apply_ccx(basis(3, 0b011), 0, 1, 2), basis(3, 0b111))
     assert np.allclose(apply_ccx(basis(3, 0b001), 0, 1, 2), basis(3, 0b001))
+
+
+def test_gate_primitives_match_reference():
+    rng = np.random.default_rng(41)
+    for q in range(1, 11):
+        # Up to 4 qubits every order runs, so the least and the most
+        # significant qubit take every role, and gates that use all q qubits
+        # fix every qubit (X at q=1, CX at q=2, CCX at q=3, a 3-control phase
+        # at q=4).  Larger registers take the two sorted orders and random ones.
+        if q <= 4:
+            orders = [list(order) for order in itertools.permutations(range(q))]
+        else:
+            orders = [list(range(q)), list(range(q - 1, -1, -1))]
+            orders += [rng.permutation(q).tolist() for _ in range(6)]
+        for order in orders:
+            state = rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
+            cases = [(apply_x, ref_x, (order[0],))]
+            if q >= 2:
+                cases.append((apply_cx, ref_cx, tuple(order[:2])))
+            if q >= 3:
+                cases.append((apply_ccx, ref_ccx, tuple(order[:3])))
+            for c in range(min(3, q - 1) + 1):
+                phi = float(rng.uniform(-math.pi, math.pi))
+                cases.append((apply_controlled_phase, ref_controlled_phase, (order[:c], order[c], phi)))
+            for gate, ref, args in cases:
+                out = state.copy()
+                assert gate(out, *args) is out
+                assert np.array_equal(out, ref(state.copy(), *args)), (gate.__name__, q, args)
 
 
 def test_rx_rotation():
@@ -108,6 +187,11 @@ def test_gate_index_errors():
         apply_cx(basis(2, 0), 0, 0)
     with pytest.raises(ValueError):
         apply_controlled_phase(basis(2, 0), [0], 5, 1.0)
+    # A repeated qubit must not merge silently into one fixed bit.
+    with pytest.raises(ValueError):
+        apply_ccx(basis(3, 0), 0, 0, 1)
+    with pytest.raises(ValueError):
+        apply_controlled_phase(basis(2, 0), [1], 1, 1.0)
     with pytest.raises(ValueError):
         apply_rx(np.ones(3, dtype=complex), 0, 1.0)
 
@@ -213,6 +297,15 @@ def test_backend_equivalence_random_angles():
         assert fidelity >= 1.0 - 1e-10
         residual = np.sum(np.abs(gate[diag.size :]) ** 2)
         assert residual < 1e-12
+
+
+def test_backend_equivalence_n8():
+    g = random_complete_graph(8, 3)
+    theta = ParameterVector.from_flat(np.random.default_rng(29).uniform(0, 2 * math.pi, 2))
+    diag = run_qaoa(make_instance(g, 1, Backend.DIAGONAL), theta)
+    gate = run_qaoa(make_instance(g, 1, Backend.GATE), theta)
+    assert abs(np.vdot(gate[: diag.size], diag)) >= 1.0 - 1e-10
+    assert np.sum(np.abs(gate[diag.size :]) ** 2) < 1e-12
 
 
 def test_expectation_reference_states():
