@@ -27,6 +27,7 @@ from .simulator import (
     Backend,
     ParameterVector,
     QaoaInstance,
+    energy_grid,
     expectation,
     make_instance,
     prepare_initial,

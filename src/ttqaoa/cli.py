@@ -31,7 +31,15 @@ from .graph import (
 from .protes import OptimizationTrace, ProtesConfig, index_to_angles, optimize, trace_to_csv
 from .qaoa_model import cut_from_energy, decode_bitstring, format_bitstring
 from .refine import RefineConfig, RefineResult, refine
-from .simulator import Backend, ParameterVector, expectation, make_instance, run_qaoa, sample_counts
+from .simulator import (
+    Backend,
+    ParameterVector,
+    energy_grid,
+    expectation,
+    make_instance,
+    run_qaoa,
+    sample_counts,
+)
 from .tt import save_tt_text
 
 DEFAULT_SHOTS = 4096
@@ -209,13 +217,11 @@ def landscape_csv(g: Graph, resolution: int, backend: Backend) -> str:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     inst = make_instance(g, 1, backend)
     angles = index_to_angles(np.arange(resolution), resolution)
+    energies = energy_grid(inst, angles, angles).tolist()
+    angles = angles.tolist()
     lines = ["gamma,beta,energy"]
-    for gamma in angles:
-        gamma = float(gamma)
-        for beta in angles:
-            beta = float(beta)
-            energy = expectation(run_qaoa(inst, ParameterVector((gamma,), (beta,))), inst.cost)
-            lines.append(f"{gamma!r},{beta!r},{energy!r}")
+    for gamma, row in zip(angles, energies):
+        lines.extend(f"{gamma!r},{beta!r},{energy!r}" for beta, energy in zip(angles, row))
     return "\n".join(lines) + "\n"
 
 

@@ -19,9 +19,16 @@ edge block, so they never entangle with the color register.
 
 X, CX, CCX and the controlled phase address qubits through one strided view:
 the state reshaped to one length-2 axis per qubit, with the listed qubits'
-bits fixed; no index array is built.  Registers (2n color qubits, plus the
-two ancillas on GATE) are checked against qaoa_model.MAX_QUBITS in
-make_instance, before the cost diagonal is built.
+bits fixed; no index array is built.  H, RX and the mixer share one
+single-qubit kernel that takes a state or a (B, D) stack of states, one
+matrix per row.  Registers (2n color qubits, plus the two ancillas on GATE)
+are checked against qaoa_model.MAX_QUBITS in make_instance, before the cost
+diagonal is built.
+
+energy_grid evaluates a depth-1 (gamma, beta) grid: the phase layer runs
+once per gamma, then the mixer runs over stacks of that state, one row per
+beta, capped at STACK_AMPLITUDES = 2**12 amplitudes per stack (one row per
+call above it).  Its energies equal per-cell run_qaoa evaluations bit for bit.
 """
 from __future__ import annotations
 
@@ -36,6 +43,10 @@ from .graph import Graph
 from .qaoa_model import MAX_QUBITS, CostDiagonal, build_cost_diagonal
 
 NORM_TOL = 1e-10
+# Amplitudes per stacked mixer call in energy_grid: up to 2**12 (n <= 6 on the
+# diagonal backend) numpy call overhead dominates, so rows share one call;
+# above it rows run one at a time.
+STACK_AMPLITUDES = 1 << 12
 
 
 class Backend(str, enum.Enum):
@@ -96,9 +107,10 @@ def make_instance(graph: Graph, depth: int, backend: Backend = Backend.DIAGONAL)
 
 
 def _check_qubits(state: np.ndarray, *qubits: int) -> int:
-    q = int(state.size).bit_length() - 1
-    if state.size != 1 << q:
-        raise ValueError(f"statevector length {state.size} is not a power of two")
+    size = state.shape[-1]
+    q = int(size).bit_length() - 1
+    if size != 1 << q:
+        raise ValueError(f"statevector length {size} is not a power of two")
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"qubit indices must be distinct, got {qubits}")
     for t in qubits:
@@ -107,14 +119,31 @@ def _check_qubits(state: np.ndarray, *qubits: int) -> int:
     return q
 
 
-def _apply_single(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
-    psi = state.reshape(-1, 2, 1 << qubit)
-    s0, s1 = psi[:, 0, :], psi[:, 1, :]
-    n0 = matrix[0, 0] * s0 + matrix[0, 1] * s1
-    n1 = matrix[1, 0] * s0 + matrix[1, 1] * s1
-    psi[:, 0, :] = n0
-    psi[:, 1, :] = n1
+def _apply_single(state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Apply a 2x2 matrix to each listed qubit in turn, in place.
+
+    state is one statevector with a (2, 2) matrix, or a (B, D) stack of them
+    with (B, 2, 2) matrices, one per row.  Each row gets the arithmetic a
+    1-D call with its own matrix would do.
+    """
+    a, b, c, d = (matrix[..., i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    for qubit in qubits:
+        psi = state.reshape(*state.shape[:-1], -1, 2, 1 << qubit)
+        s0, s1 = psi[..., 0, :], psi[..., 1, :]
+        n0 = a * s0 + b * s1
+        n1 = c * s0 + d * s1
+        psi[..., 0, :] = n0
+        psi[..., 1, :] = n1
     return state
+
+
+def _rx_matrices(half_angles: np.ndarray) -> np.ndarray:
+    """exp(-i*h*X) for each half angle h: shape half_angles.shape + (2, 2)."""
+    out = np.empty(half_angles.shape + (2, 2), dtype=complex)
+    for index, h in np.ndenumerate(half_angles):
+        c, s = math.cos(h), math.sin(h)
+        out[index] = [[c, -1j * s], [-1j * s, c]]
+    return out
 
 
 def _view(state: np.ndarray, q: int, bits: dict[int, int]) -> np.ndarray:
@@ -142,15 +171,13 @@ def apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
 def apply_h(state: np.ndarray, qubit: int) -> np.ndarray:
     _check_qubits(state, qubit)
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    return _apply_single(state, h, qubit)
+    return _apply_single(state, h, [qubit])
 
 
 def apply_rx(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     """Rotation exp(-i*theta*X/2) on one qubit."""
     _check_qubits(state, qubit)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    m = np.array([[c, -1j * s], [-1j * s, c]])
-    return _apply_single(state, m, qubit)
+    return _apply_single(state, _rx_matrices(np.asarray(theta / 2)), [qubit])
 
 
 def apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -179,12 +206,18 @@ def prepare_initial(n: int, backend: Backend = Backend.DIAGONAL) -> np.ndarray:
     return state
 
 
-def apply_mixer(state: np.ndarray, beta: float, n: int) -> np.ndarray:
-    """exp(-i*beta*X) on each of the 2n color qubits; ancillas are untouched."""
+def apply_mixer(state: np.ndarray, beta: float | np.ndarray, n: int) -> np.ndarray:
+    """exp(-i*beta*X) on each of the 2n color qubits; ancillas are untouched.
+
+    Takes one statevector and a scalar beta, or a (B, D) stack of statevectors
+    and a (B,) array of betas, one per row.  Each row is bit-identical to
+    apply_rx(row, qubit, 2 * beta) over the qubits in order.
+    """
+    betas = np.asarray(beta, dtype=float)
+    if betas.shape != state.shape[:-1]:
+        raise ValueError(f"beta shape {betas.shape} does not match the state stack {state.shape[:-1]}")
     _check_qubits(state, 2 * n - 1)
-    for qubit in range(2 * n):
-        apply_rx(state, qubit, 2.0 * beta)
-    return state
+    return _apply_single(state, _rx_matrices(betas), range(2 * n))
 
 
 def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) -> np.ndarray:
@@ -193,6 +226,15 @@ def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) ->
         raise ValueError(f"state length {state.size} does not match cost diagonal {cost.values.size}")
     state *= np.exp(-0.5j * gamma * cost.values)
     return state
+
+
+def _color_block(state: np.ndarray, when: str) -> np.ndarray:
+    """View of the amplitudes with both ancillas in |0>, after checking the rest holds no mass."""
+    blocks = state.reshape(4, -1)
+    residual = np.sum(np.abs(blocks[1:]) ** 2)
+    if residual > 1e-12:
+        raise ValueError(f"ancillas not in |00> {when} (residual mass {residual:.3e})")
+    return blocks[0]
 
 
 def apply_phase_gate_level(state: np.ndarray, g: Graph, gamma: float) -> np.ndarray:
@@ -209,9 +251,7 @@ def apply_phase_gate_level(state: np.ndarray, g: Graph, gamma: float) -> np.ndar
     if state.size != 4**g.n * 4:
         raise ValueError(f"state length {state.size} does not match {2 * g.n} color qubits + 2 ancillas")
     anc0, anc1 = 2 * g.n, 2 * g.n + 1
-    residual = np.sum(np.abs(state.reshape(4, -1)[1:]) ** 2)
-    if residual > 1e-12:
-        raise ValueError(f"ancillas not in |00> at entry (residual mass {residual:.3e})")
+    _color_block(state, "at entry")
     for i, j, w in g.edges:
         qi0, qi1 = 2 * i + 1, 2 * i
         qj0, qj1 = 2 * j + 1, 2 * j
@@ -252,10 +292,53 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
         else:
             apply_phase_gate_level(state, inst.graph, gamma)
         apply_mixer(state, beta, inst.graph.n)
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise RuntimeError(f"statevector norm drifted to {norm}")
+    _check_norm(state)
     return state
+
+
+def _check_norm(state: np.ndarray) -> None:
+    """Raise if a statevector, or any row of a (B, D) stack, left unit norm."""
+    for row in state.reshape(-1, state.shape[-1]):
+        norm = np.linalg.norm(row)
+        if abs(norm - 1.0) > NORM_TOL:
+            raise RuntimeError(f"statevector norm drifted to {norm}")
+
+
+def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
+    """Depth-1 energies over a grid: entry (i, j) is <cost> after gamma_i then beta_j.
+
+    The phase layer runs once per gamma.  Its state (on GATE, the color block,
+    after checking the ancillas hold no mass) is copied into rows, one per
+    beta, and the mixer runs over stacks of at most
+    max(1, STACK_AMPLITUDES // 4**n) rows.  Every entry equals
+    expectation(run_qaoa(inst, ParameterVector((gamma,), (beta,))), inst.cost)
+    bit for bit: each row's arithmetic is a 1-D run's, each energy is its own
+    row's dot product, and the gate phase layer only swaps amplitudes in and
+    out of the ancilla blocks, so the dropped blocks hold exact zeros.
+    """
+    if inst.depth != 1:
+        raise ValueError(f"energy_grid evaluates depth-1 circuits, got depth {inst.depth}")
+    gammas, betas = (np.asarray(x, dtype=float) for x in (gammas, betas))
+    if gammas.ndim != 1 or betas.ndim != 1:
+        raise ValueError("gammas and betas must be 1-D")
+    n, values = inst.graph.n, inst.cost.values
+    per_call = max(1, STACK_AMPLITUDES // values.size)
+    stack = np.empty((min(betas.size, per_call), values.size), dtype=complex)
+    energies = np.empty((gammas.size, betas.size))
+    for i, gamma in enumerate(gammas.tolist()):
+        state = prepare_initial(n, inst.backend)
+        if inst.backend is Backend.DIAGONAL:
+            apply_phase_diagonal(state, inst.cost, gamma)
+        else:
+            state = _color_block(apply_phase_gate_level(state, inst.graph, gamma), "after the phase layer")
+        for start in range(0, betas.size, per_call):
+            chunk = betas[start : start + per_call]
+            rows = stack[: chunk.size]
+            rows[...] = state
+            apply_mixer(rows, chunk, n)
+            _check_norm(rows)
+            energies[i, start : start + chunk.size] = [float(p @ values) for p in np.abs(rows) ** 2]
+    return energies
 
 
 def _color_probabilities(state: np.ndarray, color_dim: int) -> np.ndarray:

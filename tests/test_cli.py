@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from ttqaoa.cli import (
     report_to_json,
     resolve_seed,
 )
-from ttqaoa.graph import cut_value, parse_edge_list, total_weight
+from ttqaoa.graph import cut_value, load_graph, parse_edge_list, random_complete_graph, total_weight
+from ttqaoa.protes import index_to_angles
 from ttqaoa.qaoa_model import build_cost_diagonal, cut_from_energy
 from ttqaoa.simulator import Backend, ParameterVector, expectation, make_instance, run_qaoa
 from ttqaoa.tt import load_tt_text
@@ -30,6 +32,7 @@ TINY_CONFIG = "R = 3\nK = 10\nk = 3\nk_gd = 5\nlambda = 0.1\nN = 20\nm = 40\nmax
 
 EDGE = parse_edge_list(EDGE_TEXT)
 G4 = parse_edge_list(G4_TEXT)
+K5_WEIGHTED = load_graph(str(Path(__file__).resolve().parents[1] / "graphs" / "k5_weighted.edgelist"))
 
 
 def write(tmp_path, name, text):
@@ -114,6 +117,49 @@ def test_landscape_csv_structure():
         assert cost.values.min() - 1e-10 <= float(r[2]) <= cost.values.max() + 1e-10
     with pytest.raises(ValueError):
         landscape_csv(EDGE, 1, Backend.DIAGONAL)
+
+
+def landscape_reference(g, resolution, backend):
+    """The earlier landscape: one full run_qaoa per grid cell, kept as the byte-for-byte reference."""
+    inst = make_instance(g, 1, backend)
+    angles = index_to_angles(np.arange(resolution), resolution)
+    lines = ["gamma,beta,energy"]
+    for gamma in angles:
+        gamma = float(gamma)
+        for beta in angles:
+            beta = float(beta)
+            energy = expectation(run_qaoa(inst, ParameterVector((gamma,), (beta,))), inst.cost)
+            lines.append(f"{gamma!r},{beta!r},{energy!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "graph, resolution, backend",
+    [
+        # 256 amplitudes: the 7 betas fit in one call under the 16-row cap.
+        (G4, 7, Backend.DIAGONAL),
+        # 1,024-amplitude color block: 4-row calls, and a 1-row tail.
+        (K5_WEIGHTED, 5, Backend.GATE),
+        # 4,096 amplitudes and more: one row per call.
+        (random_complete_graph(6, 11), 4, Backend.DIAGONAL),
+        (random_complete_graph(6, 12), 3, Backend.GATE),
+    ],
+    ids=["g4-diagonal", "k5-gate", "n6-diagonal", "n6-gate"],
+)
+def test_landscape_csv_matches_per_cell_reference(graph, resolution, backend):
+    assert landscape_csv(graph, resolution, backend) == landscape_reference(graph, resolution, backend)
+
+
+def test_landscape_gate_matches_diagonal():
+    res = 6
+    rows = {}
+    for backend in Backend:
+        text = landscape_csv(K5_WEIGHTED, res, backend)
+        rows[backend] = [line.split(",") for line in text.splitlines()[1:]]
+    assert len(rows[Backend.GATE]) == res * res
+    for gate, diag in zip(rows[Backend.GATE], rows[Backend.DIAGONAL]):
+        assert gate[:2] == diag[:2]
+        assert abs(float(gate[2]) - float(diag[2])) < 1e-10
 
 
 def test_hist_csv_rows_and_cuts():

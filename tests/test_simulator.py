@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from ttqaoa import simulator
 from ttqaoa.graph import Graph, cut_value, parse_edge_list, random_complete_graph, total_weight
 from ttqaoa.qaoa_model import build_cost_diagonal, cut_from_energy, decode_bitstring
 from ttqaoa.simulator import (
@@ -19,6 +20,7 @@ from ttqaoa.simulator import (
     apply_phase_gate_level,
     apply_rx,
     apply_x,
+    energy_grid,
     expectation,
     make_instance,
     prepare_initial,
@@ -213,6 +215,93 @@ def test_mixer_matches_kron_oracle():
     state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     state /= np.linalg.norm(state)
     assert np.allclose(apply_mixer(state.copy(), beta, 2), full @ state, atol=1e-12)
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("rows", [1, 3])
+def test_mixer_stack_matches_per_row_rx(rows, backend):
+    rng = np.random.default_rng(rows)
+    n = 3
+    size = len(prepare_initial(n, backend))
+    stack = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
+    betas = rng.uniform(-4.0, 4.0, rows)
+    expected = stack.copy()
+    for row, beta in zip(expected, betas):
+        for qubit in range(2 * n):
+            apply_rx(row, qubit, 2.0 * beta)
+    assert apply_mixer(stack, betas, n) is stack
+    assert np.array_equal(stack, expected)
+
+
+def test_mixer_beta_shape_must_match_stack():
+    stack = np.zeros((3, 16), dtype=complex)
+    for beta in ([0.1, 0.2], 0.1, [[0.1, 0.2, 0.3]]):
+        with pytest.raises(ValueError):
+            apply_mixer(stack, beta, 2)
+    with pytest.raises(ValueError):
+        apply_mixer(np.zeros(16, dtype=complex), [0.1], 2)
+
+
+def test_energy_grid_shape_and_guards():
+    inst = make_instance(G4, 1)
+    gammas, betas = [0.3, 1.1], [0.0, 0.4, 2.5]
+    grid = energy_grid(inst, gammas, betas)
+    assert grid.shape == (2, 3)
+    for (i, gamma), (j, beta) in itertools.product(enumerate(gammas), enumerate(betas)):
+        assert grid[i, j] == expectation(run_qaoa(inst, ParameterVector((gamma,), (beta,))), inst.cost)
+    assert energy_grid(inst, gammas, []).shape == (2, 0)
+    with pytest.raises(ValueError):
+        energy_grid(make_instance(G4, 2), gammas, betas)
+    with pytest.raises(ValueError):
+        energy_grid(inst, [[0.3]], betas)
+
+
+@pytest.mark.parametrize(
+    "graph, backend, shapes",
+    [
+        (G4, Backend.DIAGONAL, [(16, 256), (4, 256)]),
+        (random_complete_graph(5, 2), Backend.GATE, [(4, 1024)] * 5),
+        (random_complete_graph(6, 3), Backend.DIAGONAL, [(1, 4096)] * 20),
+    ],
+    ids=["g4-diagonal", "n5-gate", "n6-diagonal"],
+)
+def test_energy_grid_caps_rows_per_mixer_call(monkeypatch, graph, backend, shapes):
+    real_mixer = simulator.apply_mixer
+    seen = []
+
+    def recording_mixer(state, beta, n):
+        seen.append(state.shape)
+        return real_mixer(state, beta, n)
+
+    monkeypatch.setattr(simulator, "apply_mixer", recording_mixer)
+    energy_grid(make_instance(graph, 1, backend), [0.4], np.linspace(0.0, 3.0, 20))
+    assert seen == shapes
+
+
+def test_energy_grid_checks_every_row_norm(monkeypatch):
+    real_mixer = simulator.apply_mixer
+
+    def leaky_mixer(state, beta, n):
+        real_mixer(state, beta, n)
+        state[-1] *= 1.001
+        return state
+
+    monkeypatch.setattr(simulator, "apply_mixer", leaky_mixer)
+    with pytest.raises(RuntimeError, match="norm"):
+        energy_grid(make_instance(G4, 1), [0.3], [0.1, 0.2, 0.3])
+
+
+def test_energy_grid_rejects_ancilla_mass_before_dropping_it(monkeypatch):
+    real_phase = simulator.apply_phase_gate_level
+
+    def leaky_phase(state, g, gamma):
+        real_phase(state, g, gamma)
+        state[4**g.n + 5] = 1e-5
+        return state
+
+    monkeypatch.setattr(simulator, "apply_phase_gate_level", leaky_phase)
+    with pytest.raises(ValueError, match="after the phase layer"):
+        energy_grid(make_instance(G4, 1, Backend.GATE), [0.3], [0.1])
 
 
 def test_phase_diagonal_values():
