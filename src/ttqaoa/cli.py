@@ -93,19 +93,19 @@ def resolve_seed(cli_seed: int | None, raw: dict[str, float]) -> int:
 def build_configs(raw: dict[str, float], master: int) -> tuple[ProtesConfig, RefineConfig, int]:
     protes_seed, refine_seed, shots_seed = derive_seeds(master)
     protes_cfg = ProtesConfig(
-        rank=int(raw.get("R", 5)),
-        batch_size=int(raw.get("K", 20)),
-        elite_count=int(raw.get("k", 10)),
-        ascent_steps=int(raw.get("k_gd", 5)),
-        learning_rate=float(raw.get("lambda", 0.05)),
-        nodes_per_dim=int(raw.get("N", 100)),
-        budget=int(raw.get("m", 1000)),
+        rank=int(raw.get("R", ProtesConfig.rank)),
+        batch_size=int(raw.get("K", ProtesConfig.batch_size)),
+        elite_count=int(raw.get("k", ProtesConfig.elite_count)),
+        ascent_steps=int(raw.get("k_gd", ProtesConfig.ascent_steps)),
+        learning_rate=float(raw.get("lambda", ProtesConfig.learning_rate)),
+        nodes_per_dim=int(raw.get("N", ProtesConfig.nodes_per_dim)),
+        budget=int(raw.get("m", ProtesConfig.budget)),
         seed=protes_seed,
     )
     refine_cfg = RefineConfig(
-        max_evals=int(raw.get("max_evals", 10000)),
-        initial_step=float(raw.get("initial_step", 0.1)),
-        tol=float(raw.get("tol", 1e-9)),
+        max_evals=int(raw.get("max_evals", RefineConfig.max_evals)),
+        initial_step=float(raw.get("initial_step", RefineConfig.initial_step)),
+        tol=float(raw.get("tol", RefineConfig.tol)),
         seed=refine_seed,
     )
     return protes_cfg, refine_cfg, shots_seed
@@ -227,8 +227,8 @@ def landscape_csv(g: Graph, resolution: int, backend: Backend) -> str:
 
 def hist_csv(g: Graph, theta: Sequence[float], shots: int, seed: int, backend: Backend) -> str:
     """Counts for every observed bitstring, heaviest first, with decoded cuts."""
-    inst = make_instance(g, len(theta) // 2, backend)
-    state = run_qaoa(inst, ParameterVector.from_flat(theta))
+    params = ParameterVector.from_flat(theta)
+    state = run_qaoa(make_instance(g, params.p, backend), params)
     counts = sample_counts(state, shots, np.random.default_rng(seed), color_dim=4**g.n)
     lines = ["bitstring,count,coloring,cut"]
     for row in _count_rows(g, counts, len(counts)):
@@ -253,10 +253,7 @@ def _parse_theta(args: argparse.Namespace) -> list[float]:
     else:
         with open(args.theta_file) as fh:
             tokens = fh.read().split()
-    values = [float(tok) for tok in tokens]
-    if not values or len(values) % 2 != 0:
-        raise ValueError(f"angle vector must have even positive length, got {len(values)}")
-    return values
+    return [float(tok) for tok in tokens]
 
 
 def cmd_solve(args: argparse.Namespace) -> None:

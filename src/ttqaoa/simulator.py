@@ -15,11 +15,12 @@ pi-periodic.
 Qubit layout follows qaoa_model: vertex i's pair sits in bits (2i, 2i+1) of
 the basis index.  On the GATE backend the two ancillas are the most
 significant qubits; they start in |0> and are restored to |0> after every
-edge block, so they never entangle with the color register.
+edge block, so they never entangle with the color register.  Only
+_color_block drops them, after checking that they hold no mass.
 
 X, CX, CCX and the controlled phase address qubits through one strided view:
 the state reshaped to one length-2 axis per qubit, with the listed qubits'
-bits fixed; no index array is built.  H, RX and the mixer share one
+bits fixed; no index array is built.  RX and the mixer share one
 single-qubit kernel that takes a state or a (B, D) stack of states, one
 matrix per row.  Registers (2n color qubits, plus the two ancillas on GATE)
 are checked against qaoa_model.MAX_QUBITS in make_instance, before the cost
@@ -168,12 +169,6 @@ def apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
     return _controlled_x(state, (), qubit)
 
 
-def apply_h(state: np.ndarray, qubit: int) -> np.ndarray:
-    _check_qubits(state, qubit)
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    return _apply_single(state, h, [qubit])
-
-
 def apply_rx(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     """Rotation exp(-i*theta*X/2) on one qubit."""
     _check_qubits(state, qubit)
@@ -228,9 +223,11 @@ def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) ->
     return state
 
 
-def _color_block(state: np.ndarray, when: str) -> np.ndarray:
-    """View of the amplitudes with both ancillas in |0>, after checking the rest holds no mass."""
-    blocks = state.reshape(4, -1)
+def _color_block(state: np.ndarray, color_dim: int, when: str) -> np.ndarray:
+    """Block 0 of reshape(-1, color_dim), after checking the other blocks hold no mass."""
+    if state.size == color_dim:
+        return state
+    blocks = state.reshape(-1, color_dim)
     residual = np.sum(np.abs(blocks[1:]) ** 2)
     if residual > 1e-12:
         raise ValueError(f"ancillas not in |00> {when} (residual mass {residual:.3e})")
@@ -251,7 +248,7 @@ def apply_phase_gate_level(state: np.ndarray, g: Graph, gamma: float) -> np.ndar
     if state.size != 4**g.n * 4:
         raise ValueError(f"state length {state.size} does not match {2 * g.n} color qubits + 2 ancillas")
     anc0, anc1 = 2 * g.n, 2 * g.n + 1
-    _color_block(state, "at entry")
+    _color_block(state, 4**g.n, "at entry")
     for i, j, w in g.edges:
         qi0, qi1 = 2 * i + 1, 2 * i
         qj0, qj1 = 2 * j + 1, 2 * j
@@ -287,13 +284,16 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
         raise ValueError(f"parameter depth {theta.p} does not match instance depth {inst.depth}")
     state = prepare_initial(inst.graph.n, inst.backend)
     for gamma, beta in zip(theta.gammas, theta.betas):
-        if inst.backend is Backend.DIAGONAL:
-            apply_phase_diagonal(state, inst.cost, gamma)
-        else:
-            apply_phase_gate_level(state, inst.graph, gamma)
-        apply_mixer(state, beta, inst.graph.n)
+        apply_mixer(_phase_layer(inst, state, gamma), beta, inst.graph.n)
     _check_norm(state)
     return state
+
+
+def _phase_layer(inst: QaoaInstance, state: np.ndarray, gamma: float) -> np.ndarray:
+    """One phase separator on the instance's backend, in place."""
+    if inst.backend is Backend.DIAGONAL:
+        return apply_phase_diagonal(state, inst.cost, gamma)
+    return apply_phase_gate_level(state, inst.graph, gamma)
 
 
 def _check_norm(state: np.ndarray) -> None:
@@ -313,7 +313,7 @@ def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[flo
     max(1, STACK_AMPLITUDES // 4**n) rows.  Every entry equals
     expectation(run_qaoa(inst, ParameterVector((gamma,), (beta,))), inst.cost)
     bit for bit: each row's arithmetic is a 1-D run's, each energy is its own
-    row's dot product, and the gate phase layer only swaps amplitudes in and
+    row's expectation, and the gate phase layer only swaps amplitudes in and
     out of the ancilla blocks, so the dropped blocks hold exact zeros.
     """
     if inst.depth != 1:
@@ -327,32 +327,20 @@ def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[flo
     energies = np.empty((gammas.size, betas.size))
     for i, gamma in enumerate(gammas.tolist()):
         state = prepare_initial(n, inst.backend)
-        if inst.backend is Backend.DIAGONAL:
-            apply_phase_diagonal(state, inst.cost, gamma)
-        else:
-            state = _color_block(apply_phase_gate_level(state, inst.graph, gamma), "after the phase layer")
+        state = _color_block(_phase_layer(inst, state, gamma), values.size, "after the phase layer")
         for start in range(0, betas.size, per_call):
             chunk = betas[start : start + per_call]
             rows = stack[: chunk.size]
             rows[...] = state
             apply_mixer(rows, chunk, n)
             _check_norm(rows)
-            energies[i, start : start + chunk.size] = [float(p @ values) for p in np.abs(rows) ** 2]
+            energies[i, start : start + chunk.size] = [expectation(row, inst.cost) for row in rows]
     return energies
 
 
-def _color_probabilities(state: np.ndarray, color_dim: int) -> np.ndarray:
-    probs = np.abs(state) ** 2
-    if probs.size == color_dim:
-        return probs
-    if probs.size % color_dim == 0:
-        return probs.reshape(-1, color_dim).sum(axis=0)
-    raise ValueError(f"state length {probs.size} incompatible with color dimension {color_dim}")
-
-
 def expectation(state: np.ndarray, cost: CostDiagonal) -> float:
-    """<cost> in the current state; ancillas, if present, are traced out."""
-    probs = _color_probabilities(state, cost.values.size)
+    """<cost> in the current state; ancillas, if present, are checked to be in |00>, not traced out."""
+    probs = np.abs(_color_block(state, cost.values.size, "at measurement")) ** 2
     return float(probs @ cost.values)
 
 
@@ -362,14 +350,14 @@ def sample_counts(
     rng: np.random.Generator,
     color_dim: int | None = None,
 ) -> dict[int, int]:
-    """Multinomial draw of measurement outcomes, ancilla bits stripped.
+    """Multinomial draw of measurement outcomes, ancillas checked to be in |00> and stripped.
 
     Returns {basis index: count} for outcomes with nonzero count, in
     ascending index order.  Deterministic for a fixed generator state.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = _color_probabilities(state, color_dim if color_dim is not None else state.size)
+    probs = np.abs(_color_block(state, state.size if color_dim is None else color_dim, "at measurement")) ** 2
     probs = probs / probs.sum()
     counts = rng.multinomial(shots, probs)
     nonzero = np.nonzero(counts)[0]

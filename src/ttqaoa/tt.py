@@ -311,17 +311,18 @@ def load_tt_text(path: str) -> TTDistribution:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError("not a tensor-train checkpoint file")
-    d = int(lines[1].split()[1])
-    shape = [int(x) for x in lines[2].split()[1:]]
-    ranks = [int(x) for x in lines[3].split()[1:]]
-    if len(shape) != d or len(ranks) != d + 1:
-        raise ValueError("inconsistent checkpoint header")
-    cores = []
-    row = 4
-    for k in range(d):
-        if lines[row] != f"core {k}":
-            raise ValueError(f"expected 'core {k}' at checkpoint line {row + 1}")
-        entries = np.array([float(x) for x in lines[row + 1].split()])
-        cores.append(entries.reshape(ranks[k], shape[k], ranks[k + 1]))
-        row += 2
+    try:
+        d = int(lines[1].split()[1])
+        shape = [int(x) for x in lines[2].split()[1:]]
+        ranks = [int(x) for x in lines[3].split()[1:]]
+        if len(shape) != d or len(ranks) != d + 1:
+            raise ValueError("inconsistent checkpoint header")
+        cores = []
+        for k in range(d):
+            if lines[4 + 2 * k] != f"core {k}":
+                raise ValueError(f"expected 'core {k}' at checkpoint line {5 + 2 * k}")
+            entries = np.array([float(x) for x in lines[5 + 2 * k].split()])
+            cores.append(entries.reshape(ranks[k], shape[k], ranks[k + 1]))
+    except IndexError:
+        raise ValueError(f"truncated tensor-train checkpoint ({len(lines)} lines)") from None
     return TTDistribution(cores)

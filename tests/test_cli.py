@@ -319,6 +319,7 @@ def test_main_hist_theta_errors(tmp_path, capsys):
     assert main(["hist", "--graph", graph]) == 1
     assert main(["hist", "--graph", graph, "--theta", "0.1,0.2", "--theta-file", theta_file]) == 1
     assert main(["hist", "--graph", graph, "--theta", "0.1,0.2,0.3"]) == 1
+    assert main(["hist", "--graph", graph, "--theta", ""]) == 1
     capsys.readouterr()
 
 

@@ -14,7 +14,6 @@ from ttqaoa.simulator import (
     apply_ccx,
     apply_controlled_phase,
     apply_cx,
-    apply_h,
     apply_mixer,
     apply_phase_diagonal,
     apply_phase_gate_level,
@@ -131,8 +130,6 @@ def test_make_instance_checks_qubit_limit_before_cost_diagonal():
 def test_gate_primitives_truth_tables():
     assert np.allclose(apply_x(basis(2, 0), 0), basis(2, 1))
     assert np.allclose(apply_x(basis(2, 0b10), 1), basis(2, 0))
-    assert np.allclose(apply_h(basis(1, 0), 0), np.full(2, 1 / math.sqrt(2)))
-    assert np.allclose(apply_h(basis(1, 1), 0), [1 / math.sqrt(2), -1 / math.sqrt(2)])
     assert np.allclose(apply_cx(basis(2, 0b01), 0, 1), basis(2, 0b11))
     assert np.allclose(apply_cx(basis(2, 0b10), 0, 1), basis(2, 0b10))
     assert np.allclose(apply_ccx(basis(3, 0b011), 0, 1, 2), basis(3, 0b111))
@@ -412,6 +409,25 @@ def test_expectation_traces_out_ancillas():
     gate_val = expectation(run_qaoa(inst, theta), inst.cost)
     diag_val = expectation(run_qaoa(make_instance(EDGE, 1), theta), inst.cost)
     assert abs(gate_val - diag_val) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda state, inst: expectation(state, inst.cost),
+        lambda state, inst: sample_counts(state, 100, np.random.default_rng(0), color_dim=inst.cost.values.size),
+    ],
+    ids=["expectation", "sample_counts"],
+)
+def test_measurement_rejects_ancilla_mass(measure):
+    inst = make_instance(EDGE, 1, Backend.GATE)
+    state = run_qaoa(inst, ParameterVector((0.7,), (0.3,)))
+    measure(state, inst)
+    state[3 * inst.cost.values.size + 5] = 1e-5
+    with pytest.raises(ValueError, match="at measurement"):
+        measure(state, inst)
+    with pytest.raises(ValueError):
+        measure(np.zeros(inst.cost.values.size + 3, dtype=complex), inst)
 
 
 def test_energy_periodic_in_gamma():

@@ -479,3 +479,8 @@ def test_checkpoint_format_errors(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         load_tt_text(str(path))
+    # Truncated files: the magic line alone, "d" with no value, a header with no cores.
+    for truncated in (lines[:1], [lines[0], "d"], lines[:4]):
+        path.write_text("\n".join(truncated) + "\n")
+        with pytest.raises(ValueError, match="truncated"):
+            load_tt_text(str(path))
