@@ -21,13 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import (
-    Graph,
-    brute_force_max_cut,
-    cut_value,
-    load_graph,
-    total_weight,
-)
+from .graph import Graph, approximation_ratio, brute_force_max_cut, cut_value, load_graph, total_weight
 from .protes import OptimizationTrace, ProtesConfig, index_to_angles, optimize, trace_to_csv
 from .qaoa_model import cut_from_energy, decode_bitstring, format_bitstring
 from .refine import RefineConfig, RefineResult, refine
@@ -185,7 +179,7 @@ def run_solve(
         "protes": {
             "energy": trace.best_value,
             "expected_cut": search_cut,
-            "ratio": search_cut / optimal,
+            "ratio": approximation_ratio(search_cut, optimal).ratio,
             "evals": trace.total_evals,
             "iterations": len(trace.records),
             "diagnostics": dict(trace.diagnostics),
@@ -193,7 +187,7 @@ def run_solve(
         "refine": {
             "energy": result.value,
             "expected_cut": final_cut,
-            "ratio": final_cut / optimal,
+            "ratio": approximation_ratio(final_cut, optimal).ratio,
             "evals": result.evals,
         },
         "theta": [float(x) for x in result.theta],

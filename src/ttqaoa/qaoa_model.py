@@ -9,6 +9,7 @@ qubit of the pair, so vertex 0 sits in the least significant bit pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,15 @@ class CostDiagonal:
 
     values: np.ndarray
     n: int
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct values ascending, each entry's index into them), built on first use."""
+        # The stable argsort protes already runs, with the permutation freed early: less resident
+        # code and memory than np.unique(values, return_inverse=True).
+        ordered = self.values[np.argsort(self.values, kind="stable")]
+        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        return distinct, np.searchsorted(distinct, self.values)
 
 
 def interaction_table() -> np.ndarray:

@@ -1,9 +1,9 @@
 """Dense statevector simulation of the color-encoded QAOA circuit.
 
 Two interchangeable phase-separator backends are provided: DIAGONAL multiplies
-amplitudes by the precomputed cost diagonal, GATE builds the same evolution
-from X/CX/CCX and controlled-phase gates with two ancilla qubits.  The two
-agree up to a single global phase.
+amplitudes by the precomputed cost diagonal (one exp per cost level, gathered
+per entry), GATE builds the same evolution from X/CX/CCX and controlled-phase
+gates with two ancilla qubits.  The two agree up to a single global phase.
 
 Angle convention: one phase layer with angle gamma multiplies basis state z
 by exp(-i * gamma * values[z] / 2), which on the GATE backend is one
@@ -18,18 +18,10 @@ significant qubits; they start in |0> and are restored to |0> after every
 edge block, so they never entangle with the color register.  Only
 _color_block drops them, after checking that they hold no mass.
 
-X, CX, CCX and the controlled phase address qubits through one strided view:
-the state reshaped to one length-2 axis per qubit, with the listed qubits'
-bits fixed; no index array is built.  RX and the mixer share one
-single-qubit kernel that takes a state or a (B, D) stack of states, one
-matrix per row.  Registers (2n color qubits, plus the two ancillas on GATE)
-are checked against qaoa_model.MAX_QUBITS in make_instance, before the cost
-diagonal is built.
-
-energy_grid evaluates a depth-1 (gamma, beta) grid: the phase layer runs
-once per gamma, then the mixer runs over stacks of that state, one row per
-beta, capped at STACK_AMPLITUDES = 2**12 amplitudes per stack (one row per
-call above it).  Its energies equal per-cell run_qaoa evaluations bit for bit.
+The gates address qubits through one strided view, with no index array.  The
+mixer is one 16x16 matmul per two vertices; apply_rx is its gate-by-gate
+reference.  Registers are checked against qaoa_model.MAX_QUBITS in
+make_instance, before the cost diagonal is built.
 """
 from __future__ import annotations
 
@@ -44,9 +36,7 @@ from .graph import Graph
 from .qaoa_model import MAX_QUBITS, CostDiagonal, build_cost_diagonal
 
 NORM_TOL = 1e-10
-# Amplitudes per stacked mixer call in energy_grid: up to 2**12 (n <= 6 on the
-# diagonal backend) numpy call overhead dominates, so rows share one call;
-# above it rows run one at a time.
+# Amplitudes per stacked mixer call in energy_grid: up to 2**12 (n <= 6) call overhead dominates.
 STACK_AMPLITUDES = 1 << 12
 
 
@@ -120,31 +110,14 @@ def _check_qubits(state: np.ndarray, *qubits: int) -> int:
     return q
 
 
-def _apply_single(state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Apply a 2x2 matrix to each listed qubit in turn, in place.
-
-    state is one statevector with a (2, 2) matrix, or a (B, D) stack of them
-    with (B, 2, 2) matrices, one per row.  Each row gets the arithmetic a
-    1-D call with its own matrix would do.
-    """
-    a, b, c, d = (matrix[..., i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    for qubit in qubits:
-        psi = state.reshape(*state.shape[:-1], -1, 2, 1 << qubit)
-        s0, s1 = psi[..., 0, :], psi[..., 1, :]
-        n0 = a * s0 + b * s1
-        n1 = c * s0 + d * s1
-        psi[..., 0, :] = n0
-        psi[..., 1, :] = n1
-    return state
+# Hamming distance between 4-bit block indices; its top-left 4x4 serves the one-vertex block.
+_HAMMING = np.array([[bin(j ^ k).count("1") for k in range(16)] for j in range(16)])
 
 
-def _rx_matrices(half_angles: np.ndarray) -> np.ndarray:
-    """exp(-i*h*X) for each half angle h: shape half_angles.shape + (2, 2)."""
-    out = np.empty(half_angles.shape + (2, 2), dtype=complex)
-    for index, h in np.ndenumerate(half_angles):
-        c, s = math.cos(h), math.sin(h)
-        out[index] = [[c, -1j * s], [-1j * s, c]]
-    return out
+def _mixer_block(betas: np.ndarray, q: int) -> np.ndarray:
+    """exp(-i*beta*X) on each of q qubits, per beta: cos**(q-h) * (-i*sin)**h at Hamming distance h."""
+    terms = [[math.cos(b) ** (q - h) * (-1j * math.sin(b)) ** h for h in range(q + 1)] for b in betas.flat]
+    return np.array(terms).reshape(*betas.shape, -1)[..., _HAMMING[: 1 << q, : 1 << q]]
 
 
 def _view(state: np.ndarray, q: int, bits: dict[int, int]) -> np.ndarray:
@@ -170,9 +143,12 @@ def apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
 
 
 def apply_rx(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
-    """Rotation exp(-i*theta*X/2) on one qubit."""
+    """Rotation exp(-i*theta*X/2) on one qubit: the gate-by-gate reference for apply_mixer."""
     _check_qubits(state, qubit)
-    return _apply_single(state, _rx_matrices(np.asarray(theta / 2)), [qubit])
+    c, s = math.cos(theta / 2), -1j * math.sin(theta / 2)
+    psi = state.reshape(*state.shape[:-1], -1, 2, 1 << qubit)
+    psi[...] = np.array([[c, s], [s, c]]) @ psi
+    return state
 
 
 def apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -204,22 +180,35 @@ def prepare_initial(n: int, backend: Backend = Backend.DIAGONAL) -> np.ndarray:
 def apply_mixer(state: np.ndarray, beta: float | np.ndarray, n: int) -> np.ndarray:
     """exp(-i*beta*X) on each of the 2n color qubits; ancillas are untouched.
 
-    Takes one statevector and a scalar beta, or a (B, D) stack of statevectors
-    and a (B,) array of betas, one per row.  Each row is bit-identical to
-    apply_rx(row, qubit, 2 * beta) over the qubits in order.
+    Takes one statevector and a scalar beta, or a (B, D) stack and (B,) betas.
+    Each two-vertex block (the last vertex alone for odd n) is one matmul
+    between two buffers that lifts its bits to the top of the index, so after
+    the last block every bit is back in place; GATE ancilla blocks are extra
+    rows.  Rows equal one-row calls bit for bit, and apply_rx to 1e-13.
     """
     betas = np.asarray(beta, dtype=float)
     if betas.shape != state.shape[:-1]:
         raise ValueError(f"beta shape {betas.shape} does not match the state stack {state.shape[:-1]}")
     _check_qubits(state, 2 * n - 1)
-    return _apply_single(state, _rx_matrices(betas), range(2 * n))
+    rows = state.reshape(*betas.shape, -1, 4**n)
+    widths = [min(4, 2 * n - low) for low in range(0, 2 * n, 4)]
+    matrices = {q: _mixer_block(betas, q)[..., None, :, :] for q in set(widths)}
+    src, dst = rows, np.empty_like(rows)
+    for q in widths:
+        blocks = src.reshape(*rows.shape[:-1], -1, 1 << q).swapaxes(-1, -2)
+        np.matmul(matrices[q], blocks, out=dst.reshape(*rows.shape[:-1], 1 << q, -1))
+        src, dst = dst, src
+    if src is not rows:
+        rows[...] = src
+    return state
 
 
 def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) -> np.ndarray:
-    """Diagonal phase separator: amplitude[z] *= exp(-i*gamma*cost[z]/2)."""
+    """amplitude[z] *= exp(-i*gamma*cost[z]/2), one exp per cost level gathered per entry, bit for bit."""
     if state.size != cost.values.size:
         raise ValueError(f"state length {state.size} does not match cost diagonal {cost.values.size}")
-    state *= np.exp(-0.5j * gamma * cost.values)
+    levels, inverse = cost.levels
+    state *= np.exp(-0.5j * gamma * levels)[inverse]
     return state
 
 
@@ -282,11 +271,17 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
     """Apply depth layers of phase separator then mixer to the initial state."""
     if theta.p != inst.depth:
         raise ValueError(f"parameter depth {theta.p} does not match instance depth {inst.depth}")
-    state = prepare_initial(inst.graph.n, inst.backend)
+    state = _initial_state(inst)
     for gamma, beta in zip(theta.gammas, theta.betas):
         apply_mixer(_phase_layer(inst, state, gamma), beta, inst.graph.n)
     _check_norm(state)
     return state
+
+
+def _initial_state(inst: QaoaInstance) -> np.ndarray:
+    if inst.backend is Backend.DIAGONAL:
+        _ = inst.cost.levels  # built first, so their sort temporaries never share a peak with the state
+    return prepare_initial(inst.graph.n, inst.backend)
 
 
 def _phase_layer(inst: QaoaInstance, state: np.ndarray, gamma: float) -> np.ndarray:
@@ -326,7 +321,7 @@ def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[flo
     stack = np.empty((min(betas.size, per_call), values.size), dtype=complex)
     energies = np.empty((gammas.size, betas.size))
     for i, gamma in enumerate(gammas.tolist()):
-        state = prepare_initial(n, inst.backend)
+        state = _initial_state(inst)
         state = _color_block(_phase_layer(inst, state, gamma), values.size, "after the phase layer")
         for start in range(0, betas.size, per_call):
             chunk = betas[start : start + per_call]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -216,18 +217,37 @@ def test_mixer_matches_kron_oracle():
 
 @pytest.mark.parametrize("backend", list(Backend))
 @pytest.mark.parametrize("rows", [1, 3])
-def test_mixer_stack_matches_per_row_rx(rows, backend):
+def test_mixer_stack_rows_match_one_row_calls(rows, backend):
     rng = np.random.default_rng(rows)
-    n = 3
-    size = len(prepare_initial(n, backend))
-    stack = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
-    betas = rng.uniform(-4.0, 4.0, rows)
-    expected = stack.copy()
-    for row, beta in zip(expected, betas):
+    for n in (3, 4):
+        size = len(prepare_initial(n, backend))
+        stack = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
+        betas = rng.uniform(-4.0, 4.0, rows)
+        expected = np.array([apply_mixer(row.copy(), beta, n) for row, beta in zip(stack, betas)])
+        assert apply_mixer(stack, betas, n) is stack
+        assert np.array_equal(stack, expected)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mixer_matches_rx_reference(n):
+    # Odd n ends on a one-vertex (two-qubit) block.
+    rng = np.random.default_rng(100 + n)
+    state = rng.standard_normal(4**n) + 1j * rng.standard_normal(4**n)
+    state /= np.linalg.norm(state)
+    for beta in rng.uniform(-4.0, 4.0, 3):
+        expected = state.copy()
         for qubit in range(2 * n):
-            apply_rx(row, qubit, 2.0 * beta)
-    assert apply_mixer(stack, betas, n) is stack
-    assert np.array_equal(stack, expected)
+            apply_rx(expected, qubit, 2.0 * beta)
+        assert np.max(np.abs(apply_mixer(state.copy(), beta, n) - expected)) < 1e-13
+
+
+def test_mixer_keeps_zero_ancilla_blocks_exactly_zero():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3):
+        state = prepare_initial(n, Backend.GATE)
+        state[: 4**n] = rng.standard_normal(4**n) + 1j * rng.standard_normal(4**n)
+        apply_mixer(state, 0.83, n)
+        assert not np.any(state[4**n :])
 
 
 def test_mixer_beta_shape_must_match_stack():
@@ -312,6 +332,42 @@ def test_phase_diagonal_values():
     assert np.allclose(np.abs(state), 0.25)
     with pytest.raises(ValueError):
         apply_phase_diagonal(prepare_initial(1), cost, 1.0)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        *(random_complete_graph(n, seed) for n, seed in ((2, 0), (3, 1), (5, 2), (7, 3))),
+        parse_edge_list("3 3\n0 1 0.5\n1 2 1.3\n0 2 1.0"),
+        parse_edge_list("3 0"),
+    ],
+    ids=["k2", "k3", "k5", "k7", "fractional-triangle", "edgeless"],
+)
+def test_phase_gather_equals_full_exp(graph):
+    cost = build_cost_diagonal(graph)
+    levels, inverse = cost.levels
+    assert np.array_equal(levels[inverse], cost.values)
+    assert np.all(np.diff(levels) > 0)
+    rng = np.random.default_rng(graph.n)
+    state = rng.standard_normal(4**graph.n) + 1j * rng.standard_normal(4**graph.n)
+    for gamma in (0.0, 0.7, -2.9, 0.7 + 2 * math.pi):
+        # Named, not inline: numpy may write `state * np.exp(...)` into the
+        # exp temporary with its operands swapped, which can move a last bit.
+        phases = np.exp(-0.5j * gamma * cost.values)
+        assert np.array_equal(apply_phase_diagonal(state.copy(), cost, gamma), state * phases)
+
+
+def test_first_run_qaoa_peaks_below_three_states():
+    inst = make_instance(random_complete_graph(7, 4), 2)
+    assert "levels" not in vars(inst.cost)  # built on first use, not with the diagonal
+    theta = ParameterVector((0.4, 1.3), (0.9, 0.2))
+    tracemalloc.start()
+    try:
+        state = run_qaoa(inst, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * state.nbytes
 
 
 def test_phase_full_period_is_global_phase():
