@@ -22,12 +22,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph import Graph, approximation_ratio, brute_force_max_cut, cut_value, load_graph, total_weight
-from .protes import OptimizationTrace, ProtesConfig, index_to_angles, optimize, trace_to_csv
+# optimize is not called here but stays a cli attribute: perfbench/tracing.py wraps it by that name.
+from .protes import OptimizationTrace, ProtesConfig, _optimize_batched, index_to_angles, optimize, trace_to_csv
 from .qaoa_model import cut_from_energy, decode_bitstring, format_bitstring
 from .refine import RefineConfig, RefineResult, refine
 from .simulator import (
     Backend,
     ParameterVector,
+    _energies,
     energy_grid,
     expectation,
     make_instance,
@@ -149,15 +151,14 @@ def run_solve(
         raise ValueError("optimal cut is zero; approximation ratio undefined")
     t1 = time.perf_counter()
     inst = make_instance(g, depth, backend)
-    flat_objective = _energy_objective(inst)
 
-    def index_objective(idx: tuple[int, ...]) -> float:
-        return flat_objective(index_to_angles(idx, protes_cfg.nodes_per_dim))
+    def evaluate(idxs: list[tuple[int, ...]]) -> np.ndarray:
+        return _energies(inst, index_to_angles(np.array(idxs), protes_cfg.nodes_per_dim))
 
-    trace = optimize(index_objective, 2 * depth, protes_cfg)
+    trace = _optimize_batched(evaluate, 2 * depth, protes_cfg)
     t2 = time.perf_counter()
     search_theta = index_to_angles(trace.best_index, protes_cfg.nodes_per_dim)
-    result = refine(flat_objective, search_theta, refine_cfg)
+    result = refine(_energy_objective(inst), search_theta, refine_cfg)
     t3 = time.perf_counter()
     state = run_qaoa(inst, ParameterVector.from_flat(result.theta))
     counts = sample_counts(state, shots, np.random.default_rng(shots_seed), color_dim=4**g.n)

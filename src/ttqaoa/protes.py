@@ -48,8 +48,8 @@ class ProtesConfig:
             raise ValueError(f"budget {self.budget} below one batch of {self.batch_size}")
         if self.nodes_per_dim < 2:
             raise ValueError(f"grid needs >= 2 nodes per dimension, got {self.nodes_per_dim}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.ascent_steps < 1:
             raise ValueError(f"ascent steps must be >= 1, got {self.ascent_steps}")
 
@@ -99,6 +99,20 @@ def optimize(
     distribution has collapsed onto already-known indices.  Deterministic
     for a fixed config; raises if the objective returns a non-finite value.
     """
+    return _optimize_batched(lambda fresh: [objective(idx) for idx in fresh], dims, config)
+
+
+def _optimize_batched(
+    evaluate: Callable[[list[tuple[int, ...]]], Sequence[float]],
+    dims: int,
+    config: ProtesConfig,
+) -> OptimizationTrace:
+    """The loop of optimize, with one evaluate call per batch: indices in, one value per index out.
+
+    evaluate receives the batch's uncached indices in first-appearance
+    order, cut at the budget, and never an empty list, so the cache, the
+    budget edge and the random stream are those of one call per index.
+    """
     if dims < 1:
         raise ValueError(f"dimension count must be >= 1, got {dims}")
     rng = np.random.default_rng(config.seed)
@@ -114,11 +128,13 @@ def optimize(
         it += 1
         samples, sample_diag = sample_squared_batch(t, config.batch_size, rng)
         diagnostics["uniform_fallbacks"] += sample_diag.get("uniform_fallbacks", 0)
-        for idx in evaluation_plan(samples):
-            if idx in cache:
-                diagnostics["cache_hits"] += 1
-            elif len(cache) < config.budget:
-                value = float(objective(idx))
+        plan = evaluation_plan(samples)
+        fresh = [idx for idx in plan if idx not in cache]
+        diagnostics["cache_hits"] += len(plan) - len(fresh)
+        fresh = fresh[: config.budget - len(cache)]
+        if fresh:
+            for idx, value in zip(fresh, evaluate(fresh), strict=True):
+                value = float(value)
                 if not math.isfinite(value):
                     raise RuntimeError(f"objective returned non-finite value {value} at index {idx}")
                 cache[idx] = value

@@ -30,10 +30,10 @@ class RefineConfig:
     def __post_init__(self) -> None:
         if self.max_evals < 2:
             raise ValueError(f"max_evals must be >= 2, got {self.max_evals}")
-        if self.initial_step <= 0.0:
-            raise ValueError(f"initial_step must be > 0, got {self.initial_step}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        for key in ("initial_step", "tol"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

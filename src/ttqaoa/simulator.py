@@ -20,8 +20,11 @@ _color_block drops them, after checking that they hold no mass.
 
 The gates address qubits through one strided view, with no index array.  The
 mixer is one 16x16 matmul per two vertices; apply_rx is its gate-by-gate
-reference.  Registers are checked against qaoa_model.MAX_QUBITS in
-make_instance, before the cost diagonal is built.
+reference.  The mixer and the diagonal phase layer also take (B, D) stacks
+of rows, bit for bit equal to one-row calls; energy_grid (the depth-1
+landscape) and _energies (the search's batches) evolve such stacks of at
+most STACK_AMPLITUDES amplitudes.  Registers are checked against
+qaoa_model.MAX_QUBITS in make_instance, before the cost diagonal is built.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from .graph import Graph
 from .qaoa_model import MAX_QUBITS, CostDiagonal, build_cost_diagonal
 
 NORM_TOL = 1e-10
-# Amplitudes per stacked mixer call in energy_grid: up to 2**12 (n <= 6) call overhead dominates.
+# Amplitudes per stacked call in energy_grid and _energies: up to 2**12 (n <= 6) call overhead dominates.
 STACK_AMPLITUDES = 1 << 12
 
 
@@ -115,9 +118,14 @@ _HAMMING = np.array([[bin(j ^ k).count("1") for k in range(16)] for j in range(1
 
 
 def _mixer_block(betas: np.ndarray, q: int) -> np.ndarray:
-    """exp(-i*beta*X) on each of q qubits, per beta: cos**(q-h) * (-i*sin)**h at Hamming distance h."""
+    """exp(-i*beta*X) on each of q qubits, per beta: cos**(q-h) * (-i*sin)**h at Hamming distance h.
+
+    C-contiguous, so every matrix of a stack takes the BLAS path a lone
+    matrix takes; the gather alone leaves the beta axis innermost, and the
+    non-BLAS loop moves last bits (one-column blocks, n <= 2).
+    """
     terms = [[math.cos(b) ** (q - h) * (-1j * math.sin(b)) ** h for h in range(q + 1)] for b in betas.flat]
-    return np.array(terms).reshape(*betas.shape, -1)[..., _HAMMING[: 1 << q, : 1 << q]]
+    return np.ascontiguousarray(np.array(terms).reshape(*betas.shape, -1)[..., _HAMMING[: 1 << q, : 1 << q]])
 
 
 def _view(state: np.ndarray, q: int, bits: dict[int, int]) -> np.ndarray:
@@ -203,12 +211,19 @@ def apply_mixer(state: np.ndarray, beta: float | np.ndarray, n: int) -> np.ndarr
     return state
 
 
-def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) -> np.ndarray:
-    """amplitude[z] *= exp(-i*gamma*cost[z]/2), one exp per cost level gathered per entry, bit for bit."""
-    if state.size != cost.values.size:
-        raise ValueError(f"state length {state.size} does not match cost diagonal {cost.values.size}")
+def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float | np.ndarray) -> np.ndarray:
+    """amplitude[z] *= exp(-i*gamma*cost[z]/2), one exp per cost level gathered per entry, bit for bit.
+
+    Takes one statevector and a scalar gamma, or a (B, D) stack and a (B, 1)
+    column of gammas; rows equal one-row calls bit for bit.
+    """
+    if state.shape[-1] != cost.values.size:
+        raise ValueError(f"state length {state.shape[-1]} does not match cost diagonal {cost.values.size}")
+    stack = (*state.shape[:-1], 1) if state.ndim > 1 else ()
+    if np.shape(gamma) != stack:
+        raise ValueError(f"gamma shape {np.shape(gamma)} does not match the state stack {state.shape[:-1]}")
     levels, inverse = cost.levels
-    state *= np.exp(-0.5j * gamma * levels)[inverse]
+    state *= np.exp(-0.5j * gamma * levels)[..., inverse]
     return state
 
 
@@ -330,6 +345,34 @@ def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[flo
             apply_mixer(rows, chunk, n)
             _check_norm(rows)
             energies[i, start : start + chunk.size] = [expectation(row, inst.cost) for row in rows]
+    return energies
+
+
+def _energies(inst: QaoaInstance, thetas: np.ndarray) -> np.ndarray:
+    """Energies of the rows of a (B, 2p) array of flat angle vectors, gammas then betas.
+
+    Entry b equals expectation(run_qaoa(inst, ParameterVector.from_flat(thetas[b])), inst.cost)
+    bit for bit.  On DIAGONAL the circuits run as stacks of at most
+    max(1, STACK_AMPLITUDES // 4**n) rows, each row a 1-D run's arithmetic,
+    and each energy is its own row's expectation.  The gate phase layer takes
+    one register, so GATE runs one row at a time.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != 2 * inst.depth:
+        raise ValueError(f"angle array shape {thetas.shape} does not match (B, {2 * inst.depth})")
+    if inst.backend is Backend.GATE:
+        return np.array([expectation(run_qaoa(inst, ParameterVector.from_flat(theta)), inst.cost) for theta in thetas])
+    n, size = inst.graph.n, inst.cost.values.size
+    per_call = max(1, STACK_AMPLITUDES // size)
+    energies = np.empty(len(thetas))
+    _ = inst.cost.levels  # built before the first stack, as in _initial_state
+    for start in range(0, len(thetas), per_call):
+        gammas, betas = np.split(thetas[start : start + per_call], 2, axis=1)
+        rows = np.full((len(gammas), size), 2.0**-n, dtype=complex)  # prepare_initial's amplitude per row
+        for layer in range(inst.depth):
+            apply_mixer(apply_phase_diagonal(rows, inst.cost, gammas[:, layer, None]), betas[:, layer], n)
+        _check_norm(rows)
+        energies[start : start + len(rows)] = [expectation(row, inst.cost) for row in rows]
     return energies
 
 

@@ -18,6 +18,9 @@ left interfaces and one uniform per draw out of one rng.random((K, d)) block.
 Generator.choice(n, p=...) consumes one double per call and maps it through
 cumsum(p) / cumsum(p)[-1] and a right-sided search.  The kernel repeats that
 arithmetic, so a batch equals K sequential choice-based draws, draw for draw.
+The squared weights and the suffix Grams are two-operand products: numpy
+runs a three-operand einsum without BLAS, about ten times slower at R=5,
+N=100.
 
 One gradient kernel serves log_value_grad and ascent_step: it gathers every
 core's chosen slices for all indices, builds prefix and suffix interfaces
@@ -144,7 +147,7 @@ def _draw(
     for k, core in enumerate(t.cores):
         vecs = np.einsum("kr,rns->kns", phi, core)
         if squared:
-            weights = np.einsum("kns,st,knt->kn", vecs, suffix[k + 1], vecs)
+            weights = ((vecs @ suffix[k + 1]) * vecs).sum(axis=2)
         else:
             weights = vecs @ suffix[k + 1]
         weights = np.clip(weights, 0.0, None)
@@ -196,7 +199,7 @@ def suffix_grams(t: TTDistribution) -> list[np.ndarray]:
     """
     grams = [np.ones((1, 1))] * (t.d + 1)
     for k in range(t.d - 1, -1, -1):
-        m = np.einsum("rns,st,qnt->rq", t.cores[k], grams[k + 1], t.cores[k])
+        m = np.tensordot(t.cores[k] @ grams[k + 1], t.cores[k], axes=([1, 2], [1, 2]))
         peak = np.max(np.abs(m))
         if peak > 0.0:
             m = m / peak

@@ -332,5 +332,13 @@ def test_main_missing_file_and_bad_usage(tmp_path, capsys):
         main([])
 
 
+def test_main_solve_rejects_non_finite_config_float(tmp_path, capsys):
+    graph = write(tmp_path, "edge.txt", EDGE_TEXT)
+    config = write(tmp_path, "conf.txt", TINY_CONFIG + "tol = nan\n")
+    assert main(["solve", "--graph", graph, "--p", "1", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tol must be finite")
+
+
 def test_main_default_shots_constant():
     assert DEFAULT_SHOTS == 4096

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from ttqaoa import protes
 from ttqaoa.graph import parse_edge_list
 from ttqaoa.protes import (
     ProtesConfig,
+    _optimize_batched,
     evaluation_plan,
     index_to_angles,
     optimize,
     trace_to_csv,
 )
 from ttqaoa.qaoa_model import cut_from_energy
-from ttqaoa.simulator import ParameterVector, expectation, make_instance, run_qaoa
+from ttqaoa.simulator import ParameterVector, _energies, expectation, make_instance, run_qaoa
 
 G4 = parse_edge_list("4 5\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1")
 
@@ -61,6 +63,9 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ProtesConfig(**kwargs)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            ProtesConfig(learning_rate=bad)
 
 
 def test_index_to_angles():
@@ -185,3 +190,83 @@ def test_trace_to_csv():
     assert int(first[0]) == 1
     assert float(first[2]) == trace.records[0].best_value
     assert text.endswith("\n")
+
+
+def batched(fn):
+    return lambda fresh: [fn(idx) for idx in fresh]
+
+
+def assert_traces_equal(a, b):
+    assert a.records == b.records
+    assert a.best_index == b.best_index and a.best_value == b.best_value
+    assert a.total_evals == b.total_evals
+    assert a.diagnostics == b.diagnostics
+    assert np.array_equal(a.batch_means, b.batch_means)
+    assert all(np.array_equal(x, y) for x, y in zip(a.tt.cores, b.tt.cores, strict=True))
+
+
+def test_batched_core_equals_scalar_optimize(bench_run):
+    # The criterion-6 run, with cache hits, and a run that ends mid-batch.
+    assert bench_run[0].diagnostics["cache_hits"] > 0
+    criterion_6 = ProtesConfig(budget=1000, seed=0, **BENCH)
+    assert_traces_equal(_optimize_batched(batched(quadratic), 6, criterion_6), bench_run[0])
+    edge = ProtesConfig(batch_size=20, budget=25, nodes_per_dim=50, seed=3)
+    assert_traces_equal(_optimize_batched(batched(quadratic), 3, edge), optimize(quadratic, 3, edge))
+
+
+def test_batched_core_equals_scalar_optimize_on_qaoa_energies():
+    inst = make_instance(G4, 2)
+
+    def objective(idx):
+        return expectation(run_qaoa(inst, ParameterVector.from_flat(index_to_angles(idx, 100))), inst.cost)
+
+    def evaluate(fresh):
+        return _energies(inst, index_to_angles(np.array(fresh), 100))
+
+    cfg = ProtesConfig(budget=120, seed=4)
+    assert_traces_equal(_optimize_batched(evaluate, 4, cfg), optimize(objective, 4, cfg))
+
+
+def test_batched_core_evaluates_fresh_indices_in_plan_order(monkeypatch):
+    draws = []
+
+    def recording_sampler(t, count, rng):
+        samples, diagnostics = real_sampler(t, count, rng)
+        draws.append(samples)
+        return samples, diagnostics
+
+    real_sampler = protes.sample_squared_batch
+    monkeypatch.setattr(protes, "sample_squared_batch", recording_sampler)
+    cfg = ProtesConfig(rank=2, batch_size=20, elite_count=5, nodes_per_dim=5, budget=45, seed=1)
+    calls = []
+
+    def evaluate(fresh):
+        calls.append((len(draws), list(fresh)))
+        return [quadratic(idx) for idx in fresh]
+
+    trace = _optimize_batched(evaluate, 3, cfg)
+    seen: list[tuple[int, ...]] = []
+    expected, cut = [], 0
+    for i, samples in enumerate(draws, start=1):
+        fresh = [idx for idx in evaluation_plan(samples) if idx not in seen]
+        cut += len(fresh) > cfg.budget - len(seen)
+        fresh = fresh[: cfg.budget - len(seen)]
+        if fresh:
+            expected.append((i, fresh))
+        seen += fresh
+    assert calls == expected
+    assert trace.total_evals == len(seen) == cfg.budget
+    assert trace.diagnostics["cache_hits"] > 0 and cut == 1
+
+
+def test_batched_core_names_the_non_finite_index():
+    cfg = ProtesConfig(nodes_per_dim=5, budget=20)
+    seen = []
+
+    def evaluate(fresh):
+        seen.extend(fresh)
+        return [math.nan if k == 2 else 0.0 for k in range(len(fresh))]
+
+    with pytest.raises(RuntimeError) as err:
+        _optimize_batched(evaluate, 2, cfg)
+    assert str(err.value) == f"objective returned non-finite value nan at index {seen[2]}"

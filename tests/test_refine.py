@@ -21,6 +21,10 @@ def test_config_validation():
         RefineConfig(initial_step=0.0)
     with pytest.raises(ValueError):
         RefineConfig(tol=0.0)
+    for key in ("initial_step", "tol"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=key):
+                RefineConfig(**{key: bad})
 
 
 def test_wrap_angles():

@@ -12,6 +12,7 @@ from ttqaoa.qaoa_model import build_cost_diagonal, cut_from_energy, decode_bitst
 from ttqaoa.simulator import (
     Backend,
     ParameterVector,
+    _energies,
     apply_ccx,
     apply_controlled_phase,
     apply_cx,
@@ -219,7 +220,8 @@ def test_mixer_matches_kron_oracle():
 @pytest.mark.parametrize("rows", [1, 3])
 def test_mixer_stack_rows_match_one_row_calls(rows, backend):
     rng = np.random.default_rng(rows)
-    for n in (3, 4):
+    # n <= 2 mixes one-column blocks, where only the BLAS path gives a lone row's bits.
+    for n in (1, 2, 3, 4):
         size = len(prepare_initial(n, backend))
         stack = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
         betas = rng.uniform(-4.0, 4.0, rows)
@@ -355,6 +357,71 @@ def test_phase_gather_equals_full_exp(graph):
         # exp temporary with its operands swapped, which can move a last bit.
         phases = np.exp(-0.5j * gamma * cost.values)
         assert np.array_equal(apply_phase_diagonal(state.copy(), cost, gamma), state * phases)
+
+
+def test_phase_diagonal_stack_rows_match_one_row_calls():
+    rng = np.random.default_rng(31)
+    for graph in (G4, random_complete_graph(5, 1)):
+        cost = build_cost_diagonal(graph)
+        stack = rng.standard_normal((3, cost.values.size)) + 1j * rng.standard_normal((3, cost.values.size))
+        gammas = rng.uniform(-4.0, 4.0, (3, 1))
+        expected = np.array([apply_phase_diagonal(row.copy(), cost, float(g)) for row, g in zip(stack, gammas[:, 0])])
+        assert apply_phase_diagonal(stack, cost, gammas) is stack
+        assert np.array_equal(stack, expected)
+
+
+def test_phase_diagonal_gamma_shape_must_match_stack():
+    cost = build_cost_diagonal(EDGE)
+    stack = np.zeros((3, 16), dtype=complex)
+    for gamma in (np.zeros(3), 0.1, np.zeros((2, 1)), np.zeros((1, 3, 1))):
+        with pytest.raises(ValueError, match="gamma shape"):
+            apply_phase_diagonal(stack, cost, gamma)
+    with pytest.raises(ValueError, match="gamma shape"):
+        apply_phase_diagonal(np.zeros(16, dtype=complex), cost, np.zeros(1))
+    with pytest.raises(ValueError, match="state length"):
+        apply_phase_diagonal(np.zeros((3, 4), dtype=complex), cost, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_energies_equal_one_circuit_per_row(n):
+    inst_graph = random_complete_graph(n, n)
+    rng = np.random.default_rng(40 + n)
+    for p in (1, 2, 3):
+        inst = make_instance(inst_graph, p)
+        # 16 and 17 straddle the G4 row cap; n=6 runs one row per stack.
+        for count in (1, 5, 16, 17, 40):
+            thetas = rng.uniform(0.0, 2 * math.pi, (count, 2 * p))
+            expected = [expectation(run_qaoa(inst, ParameterVector.from_flat(t)), inst.cost) for t in thetas]
+            assert _energies(inst, thetas).tolist() == expected
+
+
+def test_stacked_energies_gate_backend_runs_rows_one_by_one():
+    rng = np.random.default_rng(47)
+    for p in (1, 2, 3):
+        inst = make_instance(K3, p, Backend.GATE)
+        for count in (1, 5, 17):
+            thetas = rng.uniform(0.0, 2 * math.pi, (count, 2 * p))
+            expected = [expectation(run_qaoa(inst, ParameterVector.from_flat(t)), inst.cost) for t in thetas]
+            assert _energies(inst, thetas).tolist() == expected
+
+
+def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
+    real_mixer = simulator.apply_mixer
+    seen = []
+
+    def recording_mixer(state, beta, n):
+        seen.append(state.shape)
+        return real_mixer(state, beta, n)
+
+    monkeypatch.setattr(simulator, "apply_mixer", recording_mixer)
+    _energies(make_instance(G4, 2), np.zeros((17, 4)))
+    assert seen == [(16, 256)] * 2 + [(1, 256)] * 2
+    seen.clear()
+    _energies(make_instance(random_complete_graph(7, 0), 1), np.zeros((2, 2)))
+    assert seen == [(1, 4**7)] * 2
+    for bad in (np.zeros((3, 3)), np.zeros(4), np.zeros((1, 2, 4))):
+        with pytest.raises(ValueError):
+            _energies(make_instance(G4, 2), bad)
 
 
 def test_first_run_qaoa_peaks_below_three_states():

@@ -315,6 +315,25 @@ def test_batched_draws_match_sequential_reference():
     assert min(fallbacks.values()) > 0
 
 
+def ref_suffix_grams(t):
+    """The three-operand einsum form of suffix_grams, kept as its reference."""
+    grams = [np.ones((1, 1))] * (t.d + 1)
+    for k in range(t.d - 1, -1, -1):
+        m = np.einsum("rns,st,qnt->rq", t.cores[k], grams[k + 1], t.cores[k])
+        peak = np.max(np.abs(m))
+        grams[k] = m / peak if peak > 0.0 else m
+    return grams
+
+
+def test_suffix_grams_match_einsum_reference():
+    cases = [t for t, _ in random_shape_tts()]
+    cases += [random_tt(8, 100, 5, np.random.default_rng(23)), signed_tt(8, 100, 5, 24)]
+    for t in cases:
+        for got, want in zip(suffix_grams(t), ref_suffix_grams(t), strict=True):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_sample_rejects_non_finite_weights():
     for bad in (np.inf, np.nan):
         t = TTDistribution([np.array([1.0, bad, 2.0]).reshape(1, 3, 1), np.ones((1, 2, 1))])
