@@ -151,6 +151,8 @@ def run_solve(
         raise ValueError("optimal cut is zero; approximation ratio undefined")
     t1 = time.perf_counter()
     inst = make_instance(g, depth, backend)
+    if np.any(np.diff(inst.cost.levels[0]) % 2):  # the search grid and refinement wrap gamma at 2*pi
+        raise ValueError("solve needs a 2*pi gamma period: cost levels differing by even integers (integer weights)")
 
     def evaluate(idxs: list[tuple[int, ...]]) -> np.ndarray:
         return _energies(inst, index_to_angles(np.array(idxs), protes_cfg.nodes_per_dim))

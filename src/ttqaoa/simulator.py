@@ -7,10 +7,10 @@ gates with two ancilla qubits.  The two agree up to a single global phase.
 
 Angle convention: one phase layer with angle gamma multiplies basis state z
 by exp(-i * gamma * values[z] / 2), which on the GATE backend is one
-controlled phase of -gamma * w per edge.  Since every integer-weight graph
-gives all diagonal entries the same parity, a 2*pi shift of gamma is a pure
-global phase.  The mixer is the full exp(-i*beta*X) per qubit, so beta is
-pi-periodic.
+controlled phase of -gamma * w per edge.  A 2*pi shift of gamma is a pure
+global phase only if every two diagonal entries differ by an even integer,
+as on integer-weight graphs.  The mixer is the full exp(-i*beta*X) per
+qubit, so beta is pi-periodic.
 
 Qubit layout follows qaoa_model: vertex i's pair sits in bits (2i, 2i+1) of
 the basis index.  On the GATE backend the two ancillas are the most
@@ -20,11 +20,12 @@ _color_block drops them, after checking that they hold no mass.
 
 The gates address qubits through one strided view, with no index array.  The
 mixer is one 16x16 matmul per two vertices; apply_rx is its gate-by-gate
-reference.  The mixer and the diagonal phase layer also take (B, D) stacks
-of rows, bit for bit equal to one-row calls; energy_grid (the depth-1
-landscape) and _energies (the search's batches) evolve such stacks of at
-most STACK_AMPLITUDES amplitudes.  Registers are checked against
-qaoa_model.MAX_QUBITS in make_instance, before the cost diagonal is built.
+reference.  _evolve runs the p layers over a (B, D) stack; _measure checks
+each row's norm and takes its own expectation.  run_qaoa is a one-row
+_evolve, _energies (the search's batches) evolves and measures stacks of at
+most STACK_AMPLITUDES amplitudes, and energy_grid (the depth-1 landscape)
+runs one phase layer per gamma and stacks its mixer and measure step.  Rows
+equal one-row runs bit for bit.  make_instance checks MAX_QUBITS.
 """
 from __future__ import annotations
 
@@ -58,8 +59,11 @@ class ParameterVector:
     def __post_init__(self) -> None:
         if len(self.gammas) != len(self.betas) or not self.gammas:
             raise ValueError("gammas and betas must have equal positive length")
-        object.__setattr__(self, "gammas", tuple(float(x) for x in self.gammas))
-        object.__setattr__(self, "betas", tuple(float(x) for x in self.betas))
+        for name in ("gammas", "betas"):
+            angles = tuple(float(x) for x in getattr(self, name))
+            if not all(map(math.isfinite, angles)):
+                raise ValueError(f"{name} must be finite, got {angles}")
+            object.__setattr__(self, name, angles)
 
     @property
     def p(self) -> int:
@@ -120,12 +124,12 @@ _HAMMING = np.array([[bin(j ^ k).count("1") for k in range(16)] for j in range(1
 def _mixer_block(betas: np.ndarray, q: int) -> np.ndarray:
     """exp(-i*beta*X) on each of q qubits, per beta: cos**(q-h) * (-i*sin)**h at Hamming distance h.
 
-    C-contiguous, so every matrix of a stack takes the BLAS path a lone
-    matrix takes; the gather alone leaves the beta axis innermost, and the
-    non-BLAS loop moves last bits (one-column blocks, n <= 2).
+    take, unlike an index gather, keeps the beta axis outermost, so every matrix of a stack takes
+    the BLAS path a lone matrix takes; the non-BLAS loop moves last bits (one-column blocks, n <= 2).
     """
-    terms = [[math.cos(b) ** (q - h) * (-1j * math.sin(b)) ** h for h in range(q + 1)] for b in betas.flat]
-    return np.ascontiguousarray(np.array(terms).reshape(*betas.shape, -1)[..., _HAMMING[: 1 << q, : 1 << q]])
+    cos_sin = [(math.cos(b), -1j * math.sin(b)) for b in betas.flat]
+    terms = [[c ** (q - h) * s ** h for h in range(q + 1)] for c, s in cos_sin]
+    return np.array(terms).reshape(*betas.shape, -1).take(_HAMMING[: 1 << q, : 1 << q], axis=-1)
 
 
 def _view(state: np.ndarray, q: int, bits: dict[int, int]) -> np.ndarray:
@@ -177,11 +181,16 @@ def apply_controlled_phase(state: np.ndarray, controls: Sequence[int], target: i
 
 def prepare_initial(n: int, backend: Backend = Backend.DIAGONAL) -> np.ndarray:
     """Uniform superposition on the 2n color qubits; GATE adds two ancillas in |0>."""
+    return _initial_state(n, backend)
+
+
+def _initial_state(n: int, backend: Backend, *stack: int) -> np.ndarray:
+    """prepare_initial's state, as a (*stack, D) array of copies when stack axes are given."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     qubits = _register_qubits(n, backend)
-    state = np.zeros(1 << qubits, dtype=complex)
-    state[: 4**n] = 2.0**-n
+    state = np.zeros((*stack, 1 << qubits), dtype=complex)
+    state[..., : 4**n] = 2.0**-n
     return state
 
 
@@ -223,7 +232,7 @@ def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float | n
     if np.shape(gamma) != stack:
         raise ValueError(f"gamma shape {np.shape(gamma)} does not match the state stack {state.shape[:-1]}")
     levels, inverse = cost.levels
-    state *= np.exp(-0.5j * gamma * levels)[..., inverse]
+    state *= np.exp(-0.5j * gamma * levels).take(inverse, axis=-1)
     return state
 
 
@@ -286,93 +295,81 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
     """Apply depth layers of phase separator then mixer to the initial state."""
     if theta.p != inst.depth:
         raise ValueError(f"parameter depth {theta.p} does not match instance depth {inst.depth}")
-    state = _initial_state(inst)
-    for gamma, beta in zip(theta.gammas, theta.betas):
-        apply_mixer(_phase_layer(inst, state, gamma), beta, inst.graph.n)
-    _check_norm(state)
+    state = _initial_state(inst.graph.n, inst.backend)
+    _measure(_evolve(inst, state[None], theta.to_flat()[None]))
     return state
 
 
-def _initial_state(inst: QaoaInstance) -> np.ndarray:
+def _evolve(inst: QaoaInstance, rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The p layers on a (B, D) stack in place; row b takes the flat angles thetas[b], gammas then betas."""
+    gammas, betas = thetas[:, : inst.depth, None], thetas[:, inst.depth :]
+    for layer in range(inst.depth):
+        apply_mixer(_phase_layer(inst, rows, gammas[:, layer]), betas[:, layer], inst.graph.n)
+    return rows
+
+
+def _phase_layer(inst: QaoaInstance, rows: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """One phase separator per row of a (B, D) stack, gammas a (B, 1) column, in place; GATE goes row by row."""
     if inst.backend is Backend.DIAGONAL:
-        _ = inst.cost.levels  # built first, so their sort temporaries never share a peak with the state
-    return prepare_initial(inst.graph.n, inst.backend)
+        return apply_phase_diagonal(rows, inst.cost, gammas)
+    for row, (gamma,) in zip(rows, gammas.tolist()):
+        apply_phase_gate_level(row, inst.graph, gamma)
+    return rows
 
 
-def _phase_layer(inst: QaoaInstance, state: np.ndarray, gamma: float) -> np.ndarray:
-    """One phase separator on the instance's backend, in place."""
-    if inst.backend is Backend.DIAGONAL:
-        return apply_phase_diagonal(state, inst.cost, gamma)
-    return apply_phase_gate_level(state, inst.graph, gamma)
-
-
-def _check_norm(state: np.ndarray) -> None:
-    """Raise if a statevector, or any row of a (B, D) stack, left unit norm."""
-    for row in state.reshape(-1, state.shape[-1]):
+def _measure(rows: np.ndarray, cost: CostDiagonal | None = None) -> list[float]:
+    """Raise unless every row of a (B, D) stack kept unit norm (NaN fails too); given a cost, each row's own <cost>."""
+    for row in rows:
         norm = np.linalg.norm(row)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError(f"statevector norm drifted to {norm}")
+    return [] if cost is None else [expectation(row, cost) for row in rows]
 
 
 def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
     """Depth-1 energies over a grid: entry (i, j) is <cost> after gamma_i then beta_j.
 
-    The phase layer runs once per gamma.  Its state (on GATE, the color block,
-    after checking the ancillas hold no mass) is copied into rows, one per
-    beta, and the mixer runs over stacks of at most
-    max(1, STACK_AMPLITUDES // 4**n) rows.  Every entry equals
-    expectation(run_qaoa(inst, ParameterVector((gamma,), (beta,))), inst.cost)
-    bit for bit: each row's arithmetic is a 1-D run's, each energy is its own
-    row's expectation, and the gate phase layer only swaps amplitudes in and
-    out of the ancilla blocks, so the dropped blocks hold exact zeros.
+    One phase layer per gamma; its color block (on GATE the ancilla blocks, checked empty, hold exact
+    zeros, as the gate layer only swaps amplitudes) is copied into one row per beta, and the rows are
+    mixed and measured in stacks of at most STACK_AMPLITUDES amplitudes: entries are run_qaoa's, bit for bit.
     """
     if inst.depth != 1:
         raise ValueError(f"energy_grid evaluates depth-1 circuits, got depth {inst.depth}")
     gammas, betas = (np.asarray(x, dtype=float) for x in (gammas, betas))
     if gammas.ndim != 1 or betas.ndim != 1:
         raise ValueError("gammas and betas must be 1-D")
-    n, values = inst.graph.n, inst.cost.values
-    per_call = max(1, STACK_AMPLITUDES // values.size)
-    stack = np.empty((min(betas.size, per_call), values.size), dtype=complex)
+    size = inst.cost.values.size
+    per_call = max(1, STACK_AMPLITUDES // size)
+    stack = np.empty((min(betas.size, per_call), size), dtype=complex)
     energies = np.empty((gammas.size, betas.size))
-    for i, gamma in enumerate(gammas.tolist()):
-        state = _initial_state(inst)
-        state = _color_block(_phase_layer(inst, state, gamma), values.size, "after the phase layer")
+    for i, gamma in enumerate(gammas[:, None, None]):
+        # Bound before the phase layer runs, so the previous gamma's state is freed by then.
+        state = _initial_state(inst.graph.n, inst.backend, 1)
+        state = _color_block(_phase_layer(inst, state, gamma)[0], size, "after the phase layer")
         for start in range(0, betas.size, per_call):
             chunk = betas[start : start + per_call]
             rows = stack[: chunk.size]
             rows[...] = state
-            apply_mixer(rows, chunk, n)
-            _check_norm(rows)
-            energies[i, start : start + chunk.size] = [expectation(row, inst.cost) for row in rows]
+            energies[i, start : start + chunk.size] = _measure(apply_mixer(rows, chunk, inst.graph.n), inst.cost)
     return energies
 
 
 def _energies(inst: QaoaInstance, thetas: np.ndarray) -> np.ndarray:
     """Energies of the rows of a (B, 2p) array of flat angle vectors, gammas then betas.
 
-    Entry b equals expectation(run_qaoa(inst, ParameterVector.from_flat(thetas[b])), inst.cost)
-    bit for bit.  On DIAGONAL the circuits run as stacks of at most
-    max(1, STACK_AMPLITUDES // 4**n) rows, each row a 1-D run's arithmetic,
-    and each energy is its own row's expectation.  The gate phase layer takes
-    one register, so GATE runs one row at a time.
+    Runs stacks of at most max(1, STACK_AMPLITUDES // D) registers; entry b is
+    expectation(run_qaoa(inst, ParameterVector.from_flat(thetas[b])), inst.cost), bit for bit.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != 2 * inst.depth:
         raise ValueError(f"angle array shape {thetas.shape} does not match (B, {2 * inst.depth})")
-    if inst.backend is Backend.GATE:
-        return np.array([expectation(run_qaoa(inst, ParameterVector.from_flat(theta)), inst.cost) for theta in thetas])
-    n, size = inst.graph.n, inst.cost.values.size
-    per_call = max(1, STACK_AMPLITUDES // size)
+    per_call = max(1, STACK_AMPLITUDES // (1 << _register_qubits(inst.graph.n, inst.backend)))
     energies = np.empty(len(thetas))
-    _ = inst.cost.levels  # built before the first stack, as in _initial_state
     for start in range(0, len(thetas), per_call):
-        gammas, betas = np.split(thetas[start : start + per_call], 2, axis=1)
-        rows = np.full((len(gammas), size), 2.0**-n, dtype=complex)  # prepare_initial's amplitude per row
-        for layer in range(inst.depth):
-            apply_mixer(apply_phase_diagonal(rows, inst.cost, gammas[:, layer, None]), betas[:, layer], n)
-        _check_norm(rows)
-        energies[start : start + len(rows)] = [expectation(row, inst.cost) for row in rows]
+        chunk = thetas[start : start + per_call]
+        # Bound before the layers run, so the previous chunk's stack is freed by then.
+        rows = _initial_state(inst.graph.n, inst.backend, len(chunk))
+        energies[start : start + len(rows)] = _measure(_evolve(inst, rows, chunk), inst.cost)
     return energies
 
 

@@ -321,6 +321,16 @@ def test_main_hist_theta_errors(tmp_path, capsys):
     assert main(["hist", "--graph", graph, "--theta", "0.1,0.2,0.3"]) == 1
     assert main(["hist", "--graph", graph, "--theta", ""]) == 1
     capsys.readouterr()
+    for bad in ("nan", "inf"):
+        assert main(["hist", "--graph", graph, "--theta", f"{bad},0.3"]) == 1
+        assert capsys.readouterr().err == f"error: gammas must be finite, got ({float(bad)},)\n"
+
+
+def test_main_solve_rejects_weights_without_a_2pi_period(tmp_path, capsys):
+    # E(0.7 + 2*pi, 0.3) != E(0.7, 0.3) on this triangle, so a gamma grid over [0, 2*pi) would miss angles.
+    graph = write(tmp_path, "triangle.txt", "3 3\n0 1 0.5\n1 2 1.3\n0 2 1.0\n")
+    assert main(["solve", "--graph", graph, "--p", "1", "--config", write(tmp_path, "conf.txt", TINY_CONFIG)]) == 1
+    assert "2*pi gamma period" in capsys.readouterr().err
 
 
 def test_main_missing_file_and_bad_usage(tmp_path, capsys):

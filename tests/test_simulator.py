@@ -96,6 +96,11 @@ def test_parameter_vector():
         ParameterVector.from_flat([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         ParameterVector.from_flat([])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ParameterVector((0.1, bad), (0.3, 0.4))
+        with pytest.raises(ValueError, match="finite"):
+            ParameterVector.from_flat([0.1, 0.2, bad, 0.4])
 
 
 def test_make_instance_depth_guard():
@@ -382,6 +387,28 @@ def test_phase_diagonal_gamma_shape_must_match_stack():
         apply_phase_diagonal(np.zeros((3, 4), dtype=complex), cost, np.zeros((3, 1)))
 
 
+def reference_run(inst, theta):
+    """One 1-D circuit, layer by layer with scalar angles: the independent reference for the stacked core."""
+    state = prepare_initial(inst.graph.n, inst.backend)
+    for gamma, beta in zip(theta.gammas, theta.betas):
+        if inst.backend is Backend.DIAGONAL:
+            apply_phase_diagonal(state, inst.cost, gamma)
+        else:
+            apply_phase_gate_level(state, inst.graph, gamma)
+        apply_mixer(state, beta, inst.graph.n)
+    assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
+    return state
+
+
+def assert_energies_match_reference(inst, thetas):
+    expected = []
+    for t in thetas:
+        state = reference_run(inst, ParameterVector.from_flat(t))
+        assert np.array_equal(run_qaoa(inst, ParameterVector.from_flat(t)).view(np.uint64), state.view(np.uint64))
+        expected.append(expectation(state, inst.cost))
+    assert _energies(inst, thetas).tolist() == expected
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_energies_equal_one_circuit_per_row(n):
     inst_graph = random_complete_graph(n, n)
@@ -390,19 +417,26 @@ def test_stacked_energies_equal_one_circuit_per_row(n):
         inst = make_instance(inst_graph, p)
         # 16 and 17 straddle the G4 row cap; n=6 runs one row per stack.
         for count in (1, 5, 16, 17, 40):
-            thetas = rng.uniform(0.0, 2 * math.pi, (count, 2 * p))
-            expected = [expectation(run_qaoa(inst, ParameterVector.from_flat(t)), inst.cost) for t in thetas]
-            assert _energies(inst, thetas).tolist() == expected
+            assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
 
 
-def test_stacked_energies_gate_backend_runs_rows_one_by_one():
+def test_stacked_energies_gate_backend_equal_reference():
     rng = np.random.default_rng(47)
-    for p in (1, 2, 3):
-        inst = make_instance(K3, p, Backend.GATE)
-        for count in (1, 5, 17):
-            thetas = rng.uniform(0.0, 2 * math.pi, (count, 2 * p))
-            expected = [expectation(run_qaoa(inst, ParameterVector.from_flat(t)), inst.cost) for t in thetas]
-            assert _energies(inst, thetas).tolist() == expected
+    # K3's 256-amplitude gate register stacks 16 rows, G4's 1,024 stack 4.
+    for graph in (K3, G4):
+        for p in (1, 2, 3):
+            inst = make_instance(graph, p, Backend.GATE)
+            for count in (1, 5, 17):
+                assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
+
+
+def test_nan_angles_fail_the_norm_check():
+    with pytest.raises(RuntimeError, match="norm"):
+        _energies(make_instance(G4, 1), [[0.1, math.nan]])
+    with pytest.raises(RuntimeError, match="norm"):
+        _energies(make_instance(K3, 1, Backend.GATE), [[0.2, 0.3], [math.nan, 0.3]])
+    with pytest.raises(RuntimeError, match="norm"):
+        energy_grid(make_instance(G4, 1), [0.3, math.nan], [0.1])
 
 
 def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
@@ -419,6 +453,10 @@ def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
     seen.clear()
     _energies(make_instance(random_complete_graph(7, 0), 1), np.zeros((2, 2)))
     assert seen == [(1, 4**7)] * 2
+    seen.clear()
+    # The gate register carries two ancillas: 1,024 amplitudes on G4, so 4 rows per stack.
+    _energies(make_instance(G4, 2, Backend.GATE), np.zeros((17, 4)))
+    assert seen == [(4, 1024)] * 8 + [(1, 1024)] * 2
     for bad in (np.zeros((3, 3)), np.zeros(4), np.zeros((1, 2, 4))):
         with pytest.raises(ValueError):
             _energies(make_instance(G4, 2), bad)
