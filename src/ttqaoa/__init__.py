@@ -12,7 +12,7 @@ from .graph import (
     random_complete_graph,
     total_weight,
 )
-from .protes import OptimizationTrace, ProtesConfig, index_to_angles, optimize, trace_to_csv
+from .protes import OptimizationTrace, ProtesConfig, optimize, trace_to_csv
 from .qaoa_model import (
     CostDiagonal,
     build_cost_diagonal,
@@ -20,6 +20,7 @@ from .qaoa_model import (
     decode_bitstring,
     decode_vertex,
     format_bitstring,
+    index_to_angles,
     interaction_table,
 )
 from .refine import RefineConfig, RefineResult, refine

@@ -23,8 +23,8 @@ import numpy as np
 
 from .graph import Graph, approximation_ratio, brute_force_max_cut, cut_value, load_graph, total_weight
 # optimize is not called here but stays a cli attribute: perfbench/tracing.py wraps it by that name.
-from .protes import OptimizationTrace, ProtesConfig, _optimize_batched, index_to_angles, optimize, trace_to_csv
-from .qaoa_model import cut_from_energy, decode_bitstring, format_bitstring
+from .protes import OptimizationTrace, ProtesConfig, _optimize_batched, optimize, trace_to_csv
+from .qaoa_model import check_gamma_period, cut_from_energy, decode_bitstring, format_bitstring, index_to_angles
 from .refine import RefineConfig, RefineResult, refine
 from .simulator import (
     Backend,
@@ -42,12 +42,23 @@ DEFAULT_SHOTS = 4096
 DEFAULT_RESOLUTION = 100
 TOP_COUNT_ROWS = 16
 
-_INT_KEYS = {"R", "K", "k", "k_gd", "N", "m", "seed", "max_evals"}
-_FLOAT_KEYS = {"lambda", "initial_step", "tol"}
+# Stage keys of a solve config and the field each sets, cast to its default's type; "seed" goes to resolve_seed.
+_CONFIG_FIELDS = {
+    "R": (ProtesConfig, "rank"),
+    "K": (ProtesConfig, "batch_size"),
+    "k": (ProtesConfig, "elite_count"),
+    "k_gd": (ProtesConfig, "ascent_steps"),
+    "lambda": (ProtesConfig, "learning_rate"),
+    "N": (ProtesConfig, "nodes_per_dim"),
+    "m": (ProtesConfig, "budget"),
+    "max_evals": (RefineConfig, "max_evals"),
+    "initial_step": (RefineConfig, "initial_step"),
+    "tol": (RefineConfig, "tol"),
+}
 
 
 def parse_config_text(text: str) -> dict[str, float]:
-    """Flat key = value lines; '#' starts a comment; unknown keys rejected."""
+    """Flat key = value lines; '#' starts a comment; unknown and repeated keys rejected."""
     out: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -55,15 +66,16 @@ def parse_config_text(text: str) -> dict[str, float]:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-        else:
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key != "seed" and key not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"config line {lineno}: repeated key {key!r}")
+        cast = int if key == "seed" else type(getattr(*_CONFIG_FIELDS[key]))
+        try:
+            out[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"config line {lineno}: {key} takes {cast.__name__} values, got {value!r}") from None
     return out
 
 
@@ -88,23 +100,12 @@ def resolve_seed(cli_seed: int | None, raw: dict[str, float]) -> int:
 
 def build_configs(raw: dict[str, float], master: int) -> tuple[ProtesConfig, RefineConfig, int]:
     protes_seed, refine_seed, shots_seed = derive_seeds(master)
-    protes_cfg = ProtesConfig(
-        rank=int(raw.get("R", ProtesConfig.rank)),
-        batch_size=int(raw.get("K", ProtesConfig.batch_size)),
-        elite_count=int(raw.get("k", ProtesConfig.elite_count)),
-        ascent_steps=int(raw.get("k_gd", ProtesConfig.ascent_steps)),
-        learning_rate=float(raw.get("lambda", ProtesConfig.learning_rate)),
-        nodes_per_dim=int(raw.get("N", ProtesConfig.nodes_per_dim)),
-        budget=int(raw.get("m", ProtesConfig.budget)),
-        seed=protes_seed,
-    )
-    refine_cfg = RefineConfig(
-        max_evals=int(raw.get("max_evals", RefineConfig.max_evals)),
-        initial_step=float(raw.get("initial_step", RefineConfig.initial_step)),
-        tol=float(raw.get("tol", RefineConfig.tol)),
-        seed=refine_seed,
-    )
-    return protes_cfg, refine_cfg, shots_seed
+    fields = {ProtesConfig: {"seed": protes_seed}, RefineConfig: {"seed": refine_seed}}
+    for key, value in raw.items():
+        if key in _CONFIG_FIELDS:
+            cls, name = _CONFIG_FIELDS[key]
+            fields[cls][name] = value
+    return ProtesConfig(**fields[ProtesConfig]), RefineConfig(**fields[RefineConfig]), shots_seed
 
 
 def _graph_summary(g: Graph) -> dict[str, float]:
@@ -151,8 +152,7 @@ def run_solve(
         raise ValueError("optimal cut is zero; approximation ratio undefined")
     t1 = time.perf_counter()
     inst = make_instance(g, depth, backend)
-    if np.any(np.diff(inst.cost.levels[0]) % 2):  # the search grid and refinement wrap gamma at 2*pi
-        raise ValueError("solve needs a 2*pi gamma period: cost levels differing by even integers (integer weights)")
+    check_gamma_period(inst.cost)
 
     def evaluate(idxs: list[tuple[int, ...]]) -> np.ndarray:
         return _energies(inst, index_to_angles(np.array(idxs), protes_cfg.nodes_per_dim))
@@ -242,19 +242,7 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _parse_theta(args: argparse.Namespace) -> list[float]:
-    if (args.theta is None) == (args.theta_file is None):
-        raise ValueError("provide exactly one of --theta or --theta-file")
-    if args.theta is not None:
-        tokens = args.theta.replace(",", " ").split()
-    else:
-        with open(args.theta_file) as fh:
-            tokens = fh.read().split()
-    return [float(tok) for tok in tokens]
-
-
-def cmd_solve(args: argparse.Namespace) -> None:
-    g = load_graph(args.graph)
+def cmd_solve(g: Graph, args: argparse.Namespace) -> None:
     raw = load_config(args.config)
     master = resolve_seed(args.seed, raw)
     protes_cfg, refine_cfg, shots_seed = build_configs(raw, master)
@@ -268,20 +256,23 @@ def cmd_solve(args: argparse.Namespace) -> None:
         save_tt_text(trace.tt, args.tt_out)
 
 
-def cmd_landscape(args: argparse.Namespace) -> None:
-    g = load_graph(args.graph)
+def cmd_landscape(g: Graph, args: argparse.Namespace) -> None:
     _write_text(landscape_csv(g, args.resolution, Backend(args.backend)), args.out)
 
 
-def cmd_hist(args: argparse.Namespace) -> None:
-    g = load_graph(args.graph)
-    theta = _parse_theta(args)
-    seed = args.seed if args.seed is not None else 0
-    _write_text(hist_csv(g, theta, args.shots, seed, Backend(args.backend)), args.out)
+def cmd_hist(g: Graph, args: argparse.Namespace) -> None:
+    if (args.theta is None) == (args.theta_file is None):
+        raise ValueError("provide exactly one of --theta or --theta-file")
+    if args.theta is not None:
+        tokens = args.theta.replace(",", " ").split()
+    else:
+        with open(args.theta_file) as fh:
+            tokens = fh.read().split()
+    theta = [float(tok) for tok in tokens]
+    _write_text(hist_csv(g, theta, args.shots, args.seed, Backend(args.backend)), args.out)
 
 
-def cmd_brute(args: argparse.Namespace) -> None:
-    g = load_graph(args.graph)
+def cmd_brute(g: Graph, args: argparse.Namespace) -> None:
     colors, optimal = brute_force_max_cut(g, args.k)
     report = {
         "command": "brute",
@@ -300,47 +291,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="full pipeline: brute force, grid search, refinement, sampling")
-    solve.add_argument("--graph", required=True, help="edge-list file")
+    def command(name: str, func: Callable, about: str, backend: bool = True) -> argparse.ArgumentParser:
+        """A subcommand with --graph and --out, and --backend unless told otherwise."""
+        cmd = sub.add_parser(name, help=about)
+        cmd.add_argument("--graph", required=True, help="edge-list file")
+        if backend:
+            cmd.add_argument("--backend", choices=[b.value for b in Backend], default=Backend.DIAGONAL.value)
+        cmd.add_argument("--out", default=None, help="output path (default stdout)")
+        cmd.set_defaults(func=func)
+        return cmd
+
+    solve = command("solve", cmd_solve, "full pipeline: brute force, grid search, refinement, sampling")
     solve.add_argument("--p", type=int, default=4, help="circuit depth (default 4)")
-    solve.add_argument("--backend", choices=[b.value for b in Backend], default=Backend.DIAGONAL.value)
     solve.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     solve.add_argument("--seed", type=int, default=None, help="master seed (default: config value or 0)")
     solve.add_argument("--config", default=None, help="key = value hyperparameter file")
-    solve.add_argument("--out", default=None, help="JSON report path (default stdout)")
     solve.add_argument("--trace-out", default=None, help="write search trace CSV here")
     solve.add_argument("--tt-out", default=None, help="write final tensor-train checkpoint here")
-    solve.set_defaults(func=cmd_solve)
 
-    landscape = sub.add_parser("landscape", help="depth-1 energy scan over the angle square")
-    landscape.add_argument("--graph", required=True)
+    landscape = command("landscape", cmd_landscape, "depth-1 energy scan over the angle square")
     landscape.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    landscape.add_argument("--backend", choices=[b.value for b in Backend], default=Backend.DIAGONAL.value)
-    landscape.add_argument("--out", default=None)
-    landscape.set_defaults(func=cmd_landscape)
 
-    hist = sub.add_parser("hist", help="measurement histogram at a fixed angle vector")
-    hist.add_argument("--graph", required=True)
+    hist = command("hist", cmd_hist, "measurement histogram at a fixed angle vector")
     hist.add_argument("--theta", default=None, help="comma- or space-separated angles, gammas then betas")
     hist.add_argument("--theta-file", default=None, help="file of whitespace-separated angles")
     hist.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-    hist.add_argument("--seed", type=int, default=None)
-    hist.add_argument("--backend", choices=[b.value for b in Backend], default=Backend.DIAGONAL.value)
-    hist.add_argument("--out", default=None)
-    hist.set_defaults(func=cmd_hist)
+    hist.add_argument("--seed", type=int, default=0)
 
-    brute = sub.add_parser("brute", help="exact max-k-cut by enumeration")
-    brute.add_argument("--graph", required=True)
+    brute = command("brute", cmd_brute, "exact max-k-cut by enumeration", backend=False)
     brute.add_argument("--k", type=int, default=3, help="color count (default 3)")
-    brute.add_argument("--out", default=None)
-    brute.set_defaults(func=cmd_brute)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        args.func(load_graph(args.graph), args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,8 +19,6 @@ import numpy as np
 
 from .tt import TTDistribution, ascent_step, random_tt, sample_squared_batch
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class ProtesConfig:
@@ -70,14 +68,6 @@ class OptimizationTrace:
     tt: TTDistribution
     diagnostics: dict[str, int] = field(default_factory=dict)
     batch_means: list[float] = field(default_factory=list)
-
-
-def index_to_angles(idx: Sequence[int], nodes_per_dim: int) -> np.ndarray:
-    """Grid node j of any axis maps to the angle 2*pi*j / N on [0, 2*pi)."""
-    out = np.asarray(idx, dtype=float) * (TWO_PI / nodes_per_dim)
-    if np.any(out < 0.0) or np.any(out >= TWO_PI):
-        raise ValueError(f"grid index outside [0, {nodes_per_dim})")
-    return out
 
 
 def evaluation_plan(samples: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:

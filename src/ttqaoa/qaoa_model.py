@@ -1,15 +1,20 @@
-"""Binary color encoding and the diagonal cost operator for max-3-cut.
+"""Binary color encoding, the diagonal cost operator and the angle domain for max-3-cut.
 
 Each vertex color is held in two qubits; the two-bit strings 10 and 11 both
 decode to color 2.  Bit layout convention, used consistently by the decoder,
 the simulator, and all bitstring rendering: vertex i occupies bits (2i, 2i+1)
 of the basis index, with the high bit of the pair (bit 2i+1) being the first
 qubit of the pair, so vertex 0 sits in the least significant bit pair.
+
+Angle domain: beta is pi-periodic; gamma is 2*pi-periodic only when every two
+cost levels differ by an even integer (integer weights).  index_to_angles and
+wrap_angles take every angle on [0, 2*pi), so solve checks the gamma period.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +23,8 @@ from .graph import Graph, total_weight
 # Dense registers of 2**24 amplitudes (a 256 MiB complex state): 12 vertices on
 # the diagonal backend, 11 with the gate backend's two ancillas.
 MAX_QUBITS = 24
+
+TWO_PI = 2.0 * np.pi
 
 # Per-edge interaction over the two vertices' bit pairs: +1 when the pairs
 # encode the same color (the 2/3 rows alias to one color), -1 otherwise.
@@ -49,6 +56,26 @@ class CostDiagonal:
         ordered = self.values[np.argsort(self.values, kind="stable")]
         distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
         return distinct, np.searchsorted(distinct, self.values)
+
+
+def check_gamma_period(cost: CostDiagonal) -> None:
+    """Raise unless every two cost levels differ by an even integer, the condition for a 2*pi gamma period."""
+    if np.any(np.diff(cost.levels[0]) % 2):
+        raise ValueError("solve needs a 2*pi gamma period: cost levels differing by even integers (integer weights)")
+
+
+def index_to_angles(idx: Sequence[int], nodes_per_dim: int) -> np.ndarray:
+    """Grid node j of any axis maps to the angle 2*pi*j / N on [0, 2*pi)."""
+    nodes = np.asarray(idx, dtype=float)
+    if np.any((nodes != np.floor(nodes)) | (nodes < 0) | (nodes >= nodes_per_dim)):
+        raise ValueError(f"grid index must be an integer in [0, {nodes_per_dim})")
+    return nodes * (TWO_PI / nodes_per_dim)
+
+
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """Each angle mod 2*pi on [0, 2*pi); np.mod rounds tiny negatives up to 2*pi, which map to 0."""
+    wrapped = np.mod(theta, TWO_PI)
+    return np.where(wrapped == TWO_PI, 0.0, wrapped)
 
 
 def interaction_table() -> np.ndarray:

@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .qaoa_model import wrap_angles
+
 DEGENERATE_EXTENT = 1e-12
 
 
@@ -45,10 +46,6 @@ class RefineResult:
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    return np.mod(theta, TWO_PI)
 
 
 def refine(

@@ -7,10 +7,8 @@ gates with two ancilla qubits.  The two agree up to a single global phase.
 
 Angle convention: one phase layer with angle gamma multiplies basis state z
 by exp(-i * gamma * values[z] / 2), which on the GATE backend is one
-controlled phase of -gamma * w per edge.  A 2*pi shift of gamma is a pure
-global phase only if every two diagonal entries differ by an even integer,
-as on integer-weight graphs.  The mixer is the full exp(-i*beta*X) per
-qubit, so beta is pi-periodic.
+controlled phase of -gamma * w per edge.  The mixer is the full
+exp(-i*beta*X) per qubit.  qaoa_model states the angle periods.
 
 Qubit layout follows qaoa_model: vertex i's pair sits in bits (2i, 2i+1) of
 the basis index.  On the GATE backend the two ancillas are the most

@@ -18,8 +18,7 @@ from ttqaoa.cli import (
     resolve_seed,
 )
 from ttqaoa.graph import cut_value, load_graph, parse_edge_list, random_complete_graph, total_weight
-from ttqaoa.protes import index_to_angles
-from ttqaoa.qaoa_model import build_cost_diagonal, cut_from_energy
+from ttqaoa.qaoa_model import build_cost_diagonal, cut_from_energy, index_to_angles
 from ttqaoa.simulator import Backend, ParameterVector, expectation, make_instance, run_qaoa
 from ttqaoa.tt import load_tt_text
 
@@ -58,6 +57,14 @@ def test_parse_config_text():
         parse_config_text("R 7\n")
     with pytest.raises(ValueError):
         parse_config_text("R = seven\n")
+    with pytest.raises(ValueError, match="line 3: repeated key 'K'"):
+        parse_config_text("K = 10\nR = 3\nK = 30\n")
+    with pytest.raises(ValueError, match="line 2: R takes int values, got '1.5'"):
+        parse_config_text("K = 10\nR = 1.5\n")
+    with pytest.raises(ValueError, match="line 1: m takes int values, got '1e3'"):
+        parse_config_text("m = 1e3\n")
+    with pytest.raises(ValueError, match="line 1: tol takes float values, got 'small'"):
+        parse_config_text("tol = small\n")
 
 
 def test_derive_seeds():

@@ -9,11 +9,10 @@ from ttqaoa.protes import (
     ProtesConfig,
     _optimize_batched,
     evaluation_plan,
-    index_to_angles,
     optimize,
     trace_to_csv,
 )
-from ttqaoa.qaoa_model import cut_from_energy
+from ttqaoa.qaoa_model import cut_from_energy, index_to_angles
 from ttqaoa.simulator import ParameterVector, _energies, expectation, make_instance, run_qaoa
 
 G4 = parse_edge_list("4 5\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1")
@@ -76,6 +75,12 @@ def test_index_to_angles():
         index_to_angles((100,), 100)
     with pytest.raises(ValueError):
         index_to_angles((-1,), 100)
+    for nodes in (75, 150, 300):
+        with pytest.raises(ValueError):
+            index_to_angles([nodes], nodes)
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            index_to_angles([bad], 10)
 
 
 def test_evaluation_plan():

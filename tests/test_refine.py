@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ttqaoa.refine import TWO_PI, RefineConfig, refine, wrap_angles
+from ttqaoa.qaoa_model import TWO_PI, wrap_angles
+from ttqaoa.refine import RefineConfig, refine
 
 CENTER = np.linspace(1.0, 2.4, 8)
 
@@ -28,8 +29,8 @@ def test_config_validation():
 
 
 def test_wrap_angles():
-    wrapped = wrap_angles(np.array([TWO_PI + 0.5, -0.5, 0.0, TWO_PI]))
-    assert np.allclose(wrapped, [0.5, TWO_PI - 0.5, 0.0, 0.0])
+    wrapped = wrap_angles(np.array([TWO_PI + 0.5, -0.5, 0.0, TWO_PI, -1e-17, -4e-16]))
+    assert np.allclose(wrapped, [0.5, TWO_PI - 0.5, 0.0, 0.0, 0.0, 0.0])
     assert np.all(wrapped >= 0.0) and np.all(wrapped < TWO_PI)
 
 
