@@ -1,12 +1,12 @@
 """Derivative-free local refinement of periodic circuit angles.
 
 A Nelder-Mead simplex search with the standard coefficients (reflection 1,
-expansion 2, contraction 0.5, shrink 0.5).  Every candidate point is wrapped
-into [0, 2*pi) per axis before evaluation, so the search is effectively on
-the torus while the simplex geometry lives in unwrapped coordinates.  The
-evaluation budget is a hard cap checked before each objective call, and the
-best point ever evaluated is returned, so the result can never be worse than
-the starting point.
+expansion 2, contraction 0.5, shrink 0.5) over one (d+1, d) array of points
+and one (d+1,) array of values.  Every candidate is wrapped into [0, 2*pi)
+per axis before evaluation: the search runs on the torus, the simplex in
+unwrapped coordinates.  The evaluation budget is a hard cap checked before
+each objective call, and the best point ever evaluated is returned, so the
+result can never be worse than the starting point.
 """
 from __future__ import annotations
 
@@ -29,8 +29,10 @@ class RefineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_evals < 2:
-            raise ValueError(f"max_evals must be >= 2, got {self.max_evals}")
+        if not (isinstance(self.max_evals, (int, np.integer)) and self.max_evals >= 2):
+            raise ValueError(f"max_evals must be an integer >= 2, got {self.max_evals!r}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for key in ("initial_step", "tol"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0.0):
@@ -85,54 +87,45 @@ def refine(
             best_theta = wrapped
         return value
 
-    def build_simplex(center: np.ndarray, directions: np.ndarray) -> tuple[list[np.ndarray], list[float]]:
-        pts = [center.copy()]
-        vals = [call(center)]
-        for j in range(dim):
-            pts.append(center + directions[j])
-            vals.append(call(pts[-1]))
-        return pts, vals
+    def build_simplex(center: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        points = np.vstack((center, center + directions))
+        return points, np.array([call(x) for x in points])
 
     try:
         points, values = build_simplex(start, config.initial_step * np.eye(dim))
         while True:
             order = np.argsort(values, kind="stable")
-            points = [points[i] for i in order]
-            values = [values[i] for i in order]
+            points, values = points[order], values[order]
             if values[-1] - values[0] < config.tol:
                 break
-            extent = max(float(np.max(np.abs(p - points[0]))) for p in points[1:])
-            if extent < DEGENERATE_EXTENT:
-                directions = config.initial_step * rng.standard_normal((dim, dim))
-                points, values = build_simplex(points[0], directions)
+            if np.max(np.abs(points[1:] - points[0])) < DEGENERATE_EXTENT:
+                points, values = build_simplex(points[0], config.initial_step * rng.standard_normal((dim, dim)))
                 continue
-            centroid = np.mean(points[:-1], axis=0)
-            reflected = centroid + (centroid - points[-1])
+            centroid = points[:-1].mean(axis=0)
+            step = centroid - points[-1]
+            reflected = centroid + step
             f_reflected = call(reflected)
-            if f_reflected < values[0]:
-                expanded = centroid + 2.0 * (centroid - points[-1])
-                f_expanded = call(expanded)
-                if f_expanded < f_reflected:
-                    points[-1], values[-1] = expanded, f_expanded
-                else:
-                    points[-1], values[-1] = reflected, f_reflected
-            elif f_reflected < values[-2]:
+            if f_reflected < values[-2]:
                 points[-1], values[-1] = reflected, f_reflected
+                if f_reflected < values[0]:
+                    expanded = centroid + 2.0 * step
+                    f_expanded = call(expanded)
+                    if f_expanded < f_reflected:
+                        points[-1], values[-1] = expanded, f_expanded
             else:
                 if f_reflected < values[-1]:
-                    contracted = centroid + 0.5 * (centroid - points[-1])
+                    contracted = centroid + 0.5 * step
                     f_contracted = call(contracted)
                     accept = f_contracted <= f_reflected
                 else:
-                    contracted = centroid - 0.5 * (centroid - points[-1])
+                    contracted = centroid - 0.5 * step
                     f_contracted = call(contracted)
                     accept = f_contracted < values[-1]
                 if accept:
                     points[-1], values[-1] = contracted, f_contracted
                 else:
-                    for j in range(1, dim + 1):
-                        points[j] = points[0] + 0.5 * (points[j] - points[0])
-                        values[j] = call(points[j])
+                    points[1:] = points[0] + 0.5 * (points[1:] - points[0])
+                    values[1:] = [call(x) for x in points[1:]]
     except _BudgetExhausted:
         pass
     return RefineResult(best_theta, best_value, evals)

@@ -57,6 +57,8 @@ class TTDistribution:
         for k, core in enumerate(self.cores):
             if core.ndim != 3:
                 raise ValueError(f"core {k} must be three-way, got shape {core.shape}")
+            if core.shape[1] < 1:
+                raise ValueError(f"core {k} needs at least one node, got shape {core.shape}")
         if self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1:
             raise ValueError("boundary ranks must be 1")
         for k in range(len(self.cores) - 1):
@@ -91,11 +93,12 @@ def random_tt(d: int, n_nodes: int, rank: int, rng: np.random.Generator) -> TTDi
 def _check_index(t: TTDistribution, idx: Sequence[int]) -> tuple[int, ...]:
     if len(idx) != t.d:
         raise ValueError(f"multi-index length {len(idx)} does not match dimension {t.d}")
-    out = tuple(int(i) for i in idx)
-    for k, (i, n) in enumerate(zip(out, t.shape)):
+    for k, (i, n) in enumerate(zip(idx, t.shape)):
+        if not isinstance(i, (int, np.integer)):
+            raise ValueError(f"index {i!r} in axis {k} is not an integer")
         if not 0 <= i < n:
             raise ValueError(f"index {i} out of range [0, {n}) in axis {k}")
-    return out
+    return tuple(int(i) for i in idx)
 
 
 def tt_value(t: TTDistribution, idx: Sequence[int]) -> float:
@@ -325,7 +328,11 @@ def load_tt_text(path: str) -> TTDistribution:
             if lines[4 + 2 * k] != f"core {k}":
                 raise ValueError(f"expected 'core {k}' at checkpoint line {5 + 2 * k}")
             entries = np.array([float(x) for x in lines[5 + 2 * k].split()])
+            if not np.isfinite(entries).all():
+                raise ValueError(f"non-finite entry at checkpoint line {6 + 2 * k}")
             cores.append(entries.reshape(ranks[k], shape[k], ranks[k + 1]))
     except IndexError:
         raise ValueError(f"truncated tensor-train checkpoint ({len(lines)} lines)") from None
+    if len(lines) > 4 + 2 * d:
+        raise ValueError(f"unexpected content after the last core at checkpoint line {5 + 2 * d}")
     return TTDistribution(cores)

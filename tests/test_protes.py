@@ -62,6 +62,18 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ProtesConfig(**kwargs)
+    for key, bad in (
+        ("rank", 2.5),
+        ("batch_size", 20.0),
+        ("elite_count", 3.0),
+        ("ascent_steps", 5.0),
+        ("nodes_per_dim", 10.5),
+        ("budget", 40.5),
+        ("seed", 1.5),
+    ):
+        with pytest.raises(ValueError, match=key):
+            ProtesConfig(**{key: bad})
+    assert ProtesConfig(rank=np.int64(3), budget=np.int32(40), seed=np.uint64(7)).rank == 3
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="learning_rate"):
             ProtesConfig(learning_rate=bad)

@@ -169,6 +169,8 @@ def test_validation_errors():
         TTDistribution([np.ones((1, 3, 2))])
     with pytest.raises(ValueError):
         TTDistribution([np.ones((1, 3, 2)), np.ones((3, 3, 1))])
+    with pytest.raises(ValueError, match="node"):
+        TTDistribution([np.ones((1, 0, 1))])
 
 
 def test_random_tt_shapes_and_range():
@@ -213,6 +215,12 @@ def test_tt_value_index_errors():
         tt_value(t, (0, 3))
     with pytest.raises(ValueError):
         tt_value(t, (-1, 0))
+    for bad, axis in (((2.7, 1), 0), ((-0.5, 1), 0), ((1, 2.0), 1), ((0, np.float64(1.0)), 1)):
+        with pytest.raises(ValueError, match=f"axis {axis}"):
+            tt_value(t, bad)
+    with pytest.raises(ValueError, match="axis 0"):
+        log_value_grad(t, (1.9, 2))
+    assert tt_value(t, (np.int64(2), np.int32(1))) == tt_value(t, (2, 1))
 
 
 def test_right_marginals_and_total_mass():
@@ -472,6 +480,9 @@ def test_ascent_step_argument_guards():
         ascent_step(t, [(0, 0)], -0.1, 1)
     with pytest.raises(ValueError):
         ascent_step(t, [(0, 0)], 0.1, -1)
+    for batch, axis in (([(0, 0), (0.5, 2.99)], 0), ([(1, 2.99)], 1)):
+        with pytest.raises(ValueError, match=f"axis {axis}"):
+            ascent_step(t, batch, 0.01, 1)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -503,3 +514,16 @@ def test_checkpoint_format_errors(tmp_path):
         path.write_text("\n".join(truncated) + "\n")
         with pytest.raises(ValueError, match="truncated"):
             load_tt_text(str(path))
+    # A trailing core after the last one, and non-finite entries, name their line.
+    save_tt_text(t, str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + ["core 2", "1.0 2.0"]) + "\n")
+    with pytest.raises(ValueError, match="line 9"):
+        load_tt_text(str(path))
+    for entry in ("nan", "inf", "-inf"):
+        for row in (5, 7):
+            mangled = list(lines)
+            mangled[row] = " ".join([entry] + mangled[row].split()[1:])
+            path.write_text("\n".join(mangled) + "\n")
+            with pytest.raises(ValueError, match=f"non-finite entry at checkpoint line {row + 1}"):
+                load_tt_text(str(path))
