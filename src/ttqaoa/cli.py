@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph import Graph, approximation_ratio, brute_force_max_cut, cut_value, load_graph, total_weight
-# optimize is not called here but stays a cli attribute: perfbench/tracing.py wraps it by that name.
+# optimize and expectation are not called here but stay cli attributes: perfbench/tracing.py wraps them by name.
 from .protes import OptimizationTrace, ProtesConfig, _optimize_batched, optimize, trace_to_csv
 from .qaoa_model import check_gamma_period, cut_from_energy, decode_bitstring, format_bitstring, index_to_angles
 from .refine import RefineConfig, RefineResult, refine
@@ -30,6 +30,7 @@ from .simulator import (
     Backend,
     ParameterVector,
     _energies,
+    _Plan,
     energy_grid,
     expectation,
     make_instance,
@@ -112,11 +113,8 @@ def _graph_summary(g: Graph) -> dict[str, float]:
     return {"n": g.n, "edges": len(g.edges), "total_weight": total_weight(g)}
 
 
-def _energy_objective(inst) -> Callable[[np.ndarray], float]:
-    def objective(theta: np.ndarray) -> float:
-        return expectation(run_qaoa(inst, ParameterVector.from_flat(theta)), inst.cost)
-
-    return objective
+def _energy_objective(plan: _Plan) -> Callable[[np.ndarray], float]:
+    return lambda theta: float(_energies(plan, theta[None])[0])
 
 
 def _count_rows(g: Graph, counts: dict[int, int], limit: int) -> list[dict[str, object]]:
@@ -153,16 +151,18 @@ def run_solve(
     t1 = time.perf_counter()
     inst = make_instance(g, depth, backend)
     check_gamma_period(inst.cost)
+    plan = _Plan(inst)
 
     def evaluate(idxs: list[tuple[int, ...]]) -> np.ndarray:
-        return _energies(inst, index_to_angles(np.array(idxs), protes_cfg.nodes_per_dim))
+        return _energies(plan, index_to_angles(np.array(idxs), protes_cfg.nodes_per_dim))
 
     trace = _optimize_batched(evaluate, 2 * depth, protes_cfg)
     t2 = time.perf_counter()
     search_theta = index_to_angles(trace.best_index, protes_cfg.nodes_per_dim)
-    result = refine(_energy_objective(inst), search_theta, refine_cfg)
+    result = refine(_energy_objective(plan), search_theta, refine_cfg)
     t3 = time.perf_counter()
-    state = run_qaoa(inst, ParameterVector.from_flat(result.theta))
+    (state,), _ = plan.run(result.theta[None])
+    del plan  # frees the scratch buffer; state keeps the other
     counts = sample_counts(state, shots, np.random.default_rng(shots_seed), color_dim=4**g.n)
     t4 = time.perf_counter()
 

@@ -17,13 +17,17 @@ edge block, so they never entangle with the color register.  Only
 _color_block drops them, after checking that they hold no mass.
 
 The gates address qubits through one strided view, with no index array.  The
-mixer is one 16x16 matmul per two vertices; apply_rx is its gate-by-gate
-reference.  _evolve runs the p layers over a (B, D) stack; _measure checks
-each row's norm and takes its own expectation.  run_qaoa is a one-row
-_evolve, _energies (the search's batches) evolves and measures stacks of at
-most STACK_AMPLITUDES amplitudes, and energy_grid (the depth-1 landscape)
-runs one phase layer per gamma and stacks its mixer and measure step.  Rows
-equal one-row runs bit for bit.  make_instance checks MAX_QUBITS.
+mixer is one 16x16 matmul per two vertices (apply_rx is its gate-by-gate
+reference), its matrices built for all betas at once, bit for bit Python's
+c ** (q - h) * s ** h: np.float_power calls libm's pow as Python does, where
+np.power's SIMD loop can move a last bit.  A _Plan owns one (rows, D) state
+and one scratch buffer, rows = max(1, STACK_AMPLITUDES // D), as long as it
+lives: run_solve keeps one for its search, refinement and final state, and
+run_qaoa builds one per call.  Phases are gathered into the scratch by take's
+mode="clip" (mode="raise" gathers into a fresh copy of out first), the mixer
+passes between the buffers, and _measure takes |amp|**2, for the norm check
+and the energy, in the free one.  _energies runs (B, 2p) angle arrays through
+a plan; rows equal one-row runs bit for bit.  make_instance checks MAX_QUBITS.
 """
 from __future__ import annotations
 
@@ -119,15 +123,28 @@ def _check_qubits(state: np.ndarray, *qubits: int) -> int:
 _HAMMING = np.array([[bin(j ^ k).count("1") for k in range(16)] for j in range(16)])
 
 
-def _mixer_block(betas: np.ndarray, q: int) -> np.ndarray:
-    """exp(-i*beta*X) on each of q qubits, per beta: cos**(q-h) * (-i*sin)**h at Hamming distance h.
+def _mixer_blocks(betas: np.ndarray, n: int) -> list[np.ndarray]:
+    """exp(-i*beta*X) per mixer block of n vertices (q = 4 qubits per two, 2 for the last of odd n), in order.
 
-    take, unlike an index gather, keeps the beta axis outermost, so every matrix of a stack takes
-    the BLAS path a lone matrix takes; the non-BLAS loop moves last bits (one-column blocks, n <= 2).
+    Each is a (*betas.shape, 2**q, 2**q) stack, cos**(q-h) * (-i*sin)**h at Hamming distance h: take, unlike an
+    index gather, keeps the beta axes outermost, so every matrix of a stack takes a lone matrix's BLAS path.
     """
-    cos_sin = [(math.cos(b), -1j * math.sin(b)) for b in betas.flat]
-    terms = [[c ** (q - h) * s ** h for h in range(q + 1)] for c, s in cos_sin]
-    return np.array(terms).reshape(*betas.shape, -1).take(_HAMMING[: 1 << q, : 1 << q], axis=-1)
+    betas, widths = np.asarray(betas)[..., None], [min(4, 2 * n - low) for low in range(0, 2 * n, 4)]
+    cos, sin, h = np.cos(betas), -1j * np.sin(betas), np.arange(5)
+    terms = {q: np.float_power(cos, q - h[: q + 1]) * np.power(sin, h[: q + 1]) for q in set(widths)}
+    blocks = {q: t.take(_HAMMING[: 1 << q, : 1 << q], axis=-1) for q, t in terms.items()}
+    return [blocks[q] for q in widths]
+
+
+def _mix(state: np.ndarray, scratch: np.ndarray, matrices: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mix a (B, D) stack, one matmul per (B, 1, 2**q, 2**q) block stack lifting its bits to the top: (mixed, free)."""
+    src, dst = state, scratch
+    for m in matrices:
+        size = m.shape[-1]
+        blocks = src.reshape(len(src), -1, 4**n // size, size).swapaxes(2, 3)
+        np.matmul(m, blocks, out=dst.reshape(len(src), -1, size, 4**n // size))
+        src, dst = dst, src
+    return src, dst
 
 
 def _view(state: np.ndarray, q: int, bits: dict[int, int]) -> np.ndarray:
@@ -179,42 +196,27 @@ def apply_controlled_phase(state: np.ndarray, controls: Sequence[int], target: i
 
 def prepare_initial(n: int, backend: Backend = Backend.DIAGONAL) -> np.ndarray:
     """Uniform superposition on the 2n color qubits; GATE adds two ancillas in |0>."""
-    return _initial_state(n, backend)
-
-
-def _initial_state(n: int, backend: Backend, *stack: int) -> np.ndarray:
-    """prepare_initial's state, as a (*stack, D) array of copies when stack axes are given."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    qubits = _register_qubits(n, backend)
-    state = np.zeros((*stack, 1 << qubits), dtype=complex)
-    state[..., : 4**n] = 2.0**-n
+    state = np.zeros(1 << _register_qubits(n, backend), dtype=complex)
+    state[: 4**n] = 2.0**-n
     return state
 
 
 def apply_mixer(state: np.ndarray, beta: float | np.ndarray, n: int) -> np.ndarray:
     """exp(-i*beta*X) on each of the 2n color qubits; ancillas are untouched.
 
-    Takes one statevector and a scalar beta, or a (B, D) stack and (B,) betas.
-    Each two-vertex block (the last vertex alone for odd n) is one matmul
-    between two buffers that lifts its bits to the top of the index, so after
-    the last block every bit is back in place; GATE ancilla blocks are extra
-    rows.  Rows equal one-row calls bit for bit, and apply_rx to 1e-13.
+    Takes one statevector and a scalar beta, or a (B, D) stack and (B,) betas; _mix runs between
+    the state and a fresh buffer.  Rows equal one-row calls bit for bit, and apply_rx to 1e-13.
     """
     betas = np.asarray(beta, dtype=float)
     if betas.shape != state.shape[:-1]:
         raise ValueError(f"beta shape {betas.shape} does not match the state stack {state.shape[:-1]}")
     _check_qubits(state, 2 * n - 1)
-    rows = state.reshape(*betas.shape, -1, 4**n)
-    widths = [min(4, 2 * n - low) for low in range(0, 2 * n, 4)]
-    matrices = {q: _mixer_block(betas, q)[..., None, :, :] for q in set(widths)}
-    src, dst = rows, np.empty_like(rows)
-    for q in widths:
-        blocks = src.reshape(*rows.shape[:-1], -1, 1 << q).swapaxes(-1, -2)
-        np.matmul(matrices[q], blocks, out=dst.reshape(*rows.shape[:-1], 1 << q, -1))
-        src, dst = dst, src
-    if src is not rows:
-        rows[...] = src
+    rows = state.reshape(-1, state.shape[-1])
+    mixed, _ = _mix(rows, np.empty_like(rows), _mixer_blocks(betas.reshape(-1, 1), n), n)
+    if mixed is not rows:
+        rows[...] = mixed
     return state
 
 
@@ -289,21 +291,43 @@ def apply_phase_gate_level(state: np.ndarray, g: Graph, gamma: float) -> np.ndar
     return state
 
 
+class _Plan:
+    """The set-up and buffers that every evaluation of inst repeats, built once; see the module docstring."""
+
+    def __init__(self, inst: QaoaInstance):
+        self.inst = inst
+        if inst.backend is Backend.DIAGONAL:  # the level sort's temporaries are freed before the buffers exist
+            levels, self.inverse = inst.cost.levels
+            self.half_levels = -0.5j * levels
+        size = 1 << _register_qubits(inst.graph.n, inst.backend)
+        self.rows = max(1, STACK_AMPLITUDES // size)
+        self.state, self.scratch = (np.empty((self.rows, size), dtype=complex) for _ in range(2))
+
+    def run(self, thetas: np.ndarray, cost: CostDiagonal | None = None) -> tuple[np.ndarray, list[float]]:
+        """The p layers and _measure on one register per row of (B, 2p) flat angles, B <= rows.
+
+        Returns the rows, a view of a plan buffer until the next run, and each row's <cost> given a cost.
+        exp(gamma * half_levels) is apply_phase_diagonal's exp(-0.5j * gamma * levels) bit for bit: halving is exact.
+        """
+        n = self.inst.graph.n
+        state, scratch = self.state[: len(thetas)], self.scratch[: len(thetas)]
+        state[:, : 4**n], state[:, 4**n :] = 2.0**-n, 0.0
+        gammas, betas = (angles.T[..., None] for angles in np.split(thetas, 2, axis=1))
+        for gamma, *blocks in zip(gammas, *_mixer_blocks(betas, n)):
+            if self.inst.backend is Backend.GATE:
+                _phase_layer(self.inst, state, gamma)
+            else:
+                state *= np.exp(gamma * self.half_levels).take(self.inverse, axis=-1, out=scratch, mode="clip")
+            state, scratch = _mix(state, scratch, blocks, n)
+        return state, _measure(state, cost, scratch)
+
+
 def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
-    """Apply depth layers of phase separator then mixer to the initial state."""
+    """Apply depth layers of phase separator then mixer to the initial state, through a plan of its own."""
     if theta.p != inst.depth:
         raise ValueError(f"parameter depth {theta.p} does not match instance depth {inst.depth}")
-    state = _initial_state(inst.graph.n, inst.backend)
-    _measure(_evolve(inst, state[None], theta.to_flat()[None]))
+    (state,), _ = _Plan(inst).run(theta.to_flat()[None])
     return state
-
-
-def _evolve(inst: QaoaInstance, rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """The p layers on a (B, D) stack in place; row b takes the flat angles thetas[b], gammas then betas."""
-    gammas, betas = thetas[:, : inst.depth, None], thetas[:, inst.depth :]
-    for layer in range(inst.depth):
-        apply_mixer(_phase_layer(inst, rows, gammas[:, layer]), betas[:, layer], inst.graph.n)
-    return rows
 
 
 def _phase_layer(inst: QaoaInstance, rows: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -315,13 +339,17 @@ def _phase_layer(inst: QaoaInstance, rows: np.ndarray, gammas: np.ndarray) -> np
     return rows
 
 
-def _measure(rows: np.ndarray, cost: CostDiagonal | None = None) -> list[float]:
+def _measure(rows: np.ndarray, cost: CostDiagonal | None = None, scratch: np.ndarray | None = None) -> list[float]:
     """Raise unless every row of a (B, D) stack kept unit norm (NaN fails too); given a cost, each row's own <cost>."""
-    for row in rows:
-        norm = np.linalg.norm(row)
+    probs = np.abs(rows, out=None if scratch is None else scratch.view(float)[:, : rows.shape[1]])
+    for norm in np.sqrt(np.square(probs, out=probs).sum(axis=1)).tolist():
         if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError(f"statevector norm drifted to {norm}")
-    return [] if cost is None else [expectation(row, cost) for row in rows]
+    if cost is None:
+        return []
+    for row in rows:
+        _color_block(row, cost.values.size, "at measurement")
+    return [float(row_probs[: cost.values.size] @ cost.values) for row_probs in probs]
 
 
 def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
@@ -342,7 +370,7 @@ def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[flo
     energies = np.empty((gammas.size, betas.size))
     for i, gamma in enumerate(gammas[:, None, None]):
         # Bound before the phase layer runs, so the previous gamma's state is freed by then.
-        state = _initial_state(inst.graph.n, inst.backend, 1)
+        state = prepare_initial(inst.graph.n, inst.backend)[None]
         state = _color_block(_phase_layer(inst, state, gamma)[0], size, "after the phase layer")
         for start in range(0, betas.size, per_call):
             chunk = betas[start : start + per_call]
@@ -352,22 +380,18 @@ def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[flo
     return energies
 
 
-def _energies(inst: QaoaInstance, thetas: np.ndarray) -> np.ndarray:
-    """Energies of the rows of a (B, 2p) array of flat angle vectors, gammas then betas.
+def _energies(plan: _Plan, thetas: np.ndarray) -> np.ndarray:
+    """Energies of the rows of a (B, 2p) array of flat angle vectors, gammas then betas, through plan.
 
-    Runs stacks of at most max(1, STACK_AMPLITUDES // D) registers; entry b is
-    expectation(run_qaoa(inst, ParameterVector.from_flat(thetas[b])), inst.cost), bit for bit.
+    Runs stacks of at most plan.rows registers; entry b is
+    expectation(run_qaoa(plan.inst, ParameterVector.from_flat(thetas[b])), plan.inst.cost), bit for bit.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != 2 * inst.depth:
-        raise ValueError(f"angle array shape {thetas.shape} does not match (B, {2 * inst.depth})")
-    per_call = max(1, STACK_AMPLITUDES // (1 << _register_qubits(inst.graph.n, inst.backend)))
+    if thetas.ndim != 2 or thetas.shape[1] != 2 * plan.inst.depth:
+        raise ValueError(f"angle array shape {thetas.shape} does not match (B, {2 * plan.inst.depth})")
     energies = np.empty(len(thetas))
-    for start in range(0, len(thetas), per_call):
-        chunk = thetas[start : start + per_call]
-        # Bound before the layers run, so the previous chunk's stack is freed by then.
-        rows = _initial_state(inst.graph.n, inst.backend, len(chunk))
-        energies[start : start + len(rows)] = _measure(_evolve(inst, rows, chunk), inst.cost)
+    for start in range(0, len(thetas), plan.rows):
+        energies[start : start + plan.rows] = plan.run(thetas[start : start + plan.rows], plan.inst.cost)[1]
     return energies
 
 

@@ -314,7 +314,8 @@ def save_tt_text(t: TTDistribution, path: str) -> None:
 
 def load_tt_text(path: str) -> TTDistribution:
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        numbered = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    linenos, lines = [lineno for lineno, _ in numbered], [line for _, line in numbered]  # errors name file lines
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError("not a tensor-train checkpoint file")
     try:
@@ -326,13 +327,13 @@ def load_tt_text(path: str) -> TTDistribution:
         cores = []
         for k in range(d):
             if lines[4 + 2 * k] != f"core {k}":
-                raise ValueError(f"expected 'core {k}' at checkpoint line {5 + 2 * k}")
+                raise ValueError(f"expected 'core {k}' at checkpoint line {linenos[4 + 2 * k]}")
             entries = np.array([float(x) for x in lines[5 + 2 * k].split()])
             if not np.isfinite(entries).all():
-                raise ValueError(f"non-finite entry at checkpoint line {6 + 2 * k}")
+                raise ValueError(f"non-finite entry at checkpoint line {linenos[5 + 2 * k]}")
             cores.append(entries.reshape(ranks[k], shape[k], ranks[k + 1]))
     except IndexError:
         raise ValueError(f"truncated tensor-train checkpoint ({len(lines)} lines)") from None
     if len(lines) > 4 + 2 * d:
-        raise ValueError(f"unexpected content after the last core at checkpoint line {5 + 2 * d}")
+        raise ValueError(f"unexpected content after the last core at checkpoint line {linenos[4 + 2 * d]}")
     return TTDistribution(cores)

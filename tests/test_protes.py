@@ -13,7 +13,7 @@ from ttqaoa.protes import (
     trace_to_csv,
 )
 from ttqaoa.qaoa_model import cut_from_energy, index_to_angles
-from ttqaoa.simulator import ParameterVector, _energies, expectation, make_instance, run_qaoa
+from ttqaoa.simulator import ParameterVector, _energies, _Plan, expectation, make_instance, run_qaoa
 
 G4 = parse_edge_list("4 5\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1")
 
@@ -237,8 +237,10 @@ def test_batched_core_equals_scalar_optimize_on_qaoa_energies():
     def objective(idx):
         return expectation(run_qaoa(inst, ParameterVector.from_flat(index_to_angles(idx, 100))), inst.cost)
 
+    plan = _Plan(inst)
+
     def evaluate(fresh):
-        return _energies(inst, index_to_angles(np.array(fresh), 100))
+        return _energies(plan, index_to_angles(np.array(fresh), 100))
 
     cfg = ProtesConfig(budget=120, seed=4)
     assert_traces_equal(_optimize_batched(evaluate, 4, cfg), optimize(objective, 4, cfg))

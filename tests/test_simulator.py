@@ -1,18 +1,22 @@
 import itertools
 import math
+import resource
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ttqaoa import simulator
-from ttqaoa.graph import Graph, cut_value, parse_edge_list, random_complete_graph, total_weight
-from ttqaoa.qaoa_model import build_cost_diagonal, cut_from_energy, decode_bitstring
+from ttqaoa import cli, simulator
+from ttqaoa.graph import Graph, cut_value, load_graph, parse_edge_list, random_complete_graph, total_weight
+from ttqaoa.protes import trace_to_csv
+from ttqaoa.qaoa_model import TWO_PI, build_cost_diagonal, cut_from_energy, decode_bitstring
 from ttqaoa.simulator import (
     Backend,
     ParameterVector,
     _energies,
+    _Plan,
     apply_ccx,
     apply_controlled_phase,
     apply_cx,
@@ -32,6 +36,7 @@ from ttqaoa.simulator import (
 G4 = parse_edge_list("4 5\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1")
 EDGE = parse_edge_list("2 1\n0 1 1")
 K3 = parse_edge_list("3 3\n0 1 1\n0 2 1\n1 2 1")
+GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
 
 
 def basis(q, z):
@@ -257,6 +262,36 @@ def test_mixer_keeps_zero_ancilla_blocks_exactly_zero():
         assert not np.any(state[4**n :])
 
 
+def reference_mixer_block(betas, q):
+    """The earlier per-beta Python terms, gathered by Hamming distance: the bit-for-bit reference for _mixer_blocks."""
+    cos_sin = [(math.cos(b), -1j * math.sin(b)) for b in betas.flat]
+    terms = [[c ** (q - h) * s ** h for h in range(q + 1)] for c, s in cos_sin]
+    return np.array(terms).reshape(*betas.shape, -1).take(simulator._HAMMING[: 1 << q, : 1 << q], axis=-1)
+
+
+def reference_mixer_blocks(betas, n):
+    """The per-block list that _mixer_blocks returns, from the Python terms."""
+    return [reference_mixer_block(betas, min(4, 2 * n - low)) for low in range(0, 2 * n, 4)]
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_vectorized_mixer_blocks_equal_python_terms_bit_for_bit(q):
+    # np.power's SIMD float64 loop can differ from Python's ** in the last bit, where np.float_power
+    # calls the same libm pow: a numpy or CPU change that moves these bits moves every report.
+    rng = np.random.default_rng(50 + q)
+    grid = TWO_PI * np.arange(100) / 100
+    betas = np.concatenate([rng.uniform(-10.0, 10.0, 100_000), grid, [0.0, math.pi, -math.pi]])
+    # One vertex is one 2-qubit block, two vertices one 4-qubit block.
+    for start in range(0, betas.size, 4096):
+        chunk = betas[start : start + 4096]
+        (blocks,) = simulator._mixer_blocks(chunk, q // 2)
+        assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(chunk, q).view(np.uint64))
+    # The plan builds all layers at once from a transposed (p, B, 1) view of the angle array.
+    stack = betas[:96].reshape(24, 4).T[..., None]
+    (blocks,) = simulator._mixer_blocks(stack, q // 2)
+    assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(stack, q).view(np.uint64))
+
+
 def test_mixer_beta_shape_must_match_stack():
     stack = np.zeros((3, 16), dtype=complex)
     for beta in ([0.1, 0.2], 0.1, [[0.1, 0.2, 0.3]]):
@@ -406,7 +441,7 @@ def assert_energies_match_reference(inst, thetas):
         state = reference_run(inst, ParameterVector.from_flat(t))
         assert np.array_equal(run_qaoa(inst, ParameterVector.from_flat(t)).view(np.uint64), state.view(np.uint64))
         expected.append(expectation(state, inst.cost))
-    assert _energies(inst, thetas).tolist() == expected
+    assert _energies(_Plan(inst), thetas).tolist() == expected
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -432,34 +467,97 @@ def test_stacked_energies_gate_backend_equal_reference():
 
 def test_nan_angles_fail_the_norm_check():
     with pytest.raises(RuntimeError, match="norm"):
-        _energies(make_instance(G4, 1), [[0.1, math.nan]])
+        _energies(_Plan(make_instance(G4, 1)), [[0.1, math.nan]])
     with pytest.raises(RuntimeError, match="norm"):
-        _energies(make_instance(K3, 1, Backend.GATE), [[0.2, 0.3], [math.nan, 0.3]])
+        _energies(_Plan(make_instance(K3, 1, Backend.GATE)), [[0.2, 0.3], [math.nan, 0.3]])
     with pytest.raises(RuntimeError, match="norm"):
         energy_grid(make_instance(G4, 1), [0.3, math.nan], [0.1])
 
 
 def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
-    real_mixer = simulator.apply_mixer
+    # The plan mixes through the private _mix kernel, not apply_mixer: record the (rows, D) stack it mixes.
+    real_mix = simulator._mix
     seen = []
 
-    def recording_mixer(state, beta, n):
+    def recording_mix(state, scratch, matrices, n):
         seen.append(state.shape)
-        return real_mixer(state, beta, n)
+        return real_mix(state, scratch, matrices, n)
 
-    monkeypatch.setattr(simulator, "apply_mixer", recording_mixer)
-    _energies(make_instance(G4, 2), np.zeros((17, 4)))
+    monkeypatch.setattr(simulator, "_mix", recording_mix)
+    _energies(_Plan(make_instance(G4, 2)), np.zeros((17, 4)))
     assert seen == [(16, 256)] * 2 + [(1, 256)] * 2
     seen.clear()
-    _energies(make_instance(random_complete_graph(7, 0), 1), np.zeros((2, 2)))
+    _energies(_Plan(make_instance(random_complete_graph(7, 0), 1)), np.zeros((2, 2)))
     assert seen == [(1, 4**7)] * 2
     seen.clear()
     # The gate register carries two ancillas: 1,024 amplitudes on G4, so 4 rows per stack.
-    _energies(make_instance(G4, 2, Backend.GATE), np.zeros((17, 4)))
+    _energies(_Plan(make_instance(G4, 2, Backend.GATE)), np.zeros((17, 4)))
     assert seen == [(4, 1024)] * 8 + [(1, 1024)] * 2
     for bad in (np.zeros((3, 3)), np.zeros(4), np.zeros((1, 2, 4))):
         with pytest.raises(ValueError):
-            _energies(make_instance(G4, 2), bad)
+            _energies(_Plan(make_instance(G4, 2)), bad)
+
+
+def test_plan_results_survive_later_evaluations_without_faults():
+    # Nothing a plan hands out may alias its buffers, and stale buffer contents must not leak into a result.
+    inst = make_instance(G4, 2)
+    plan = _Plan(inst)
+    objective = cli._energy_objective(plan)
+    rng = np.random.default_rng(61)
+    thetas = rng.uniform(0.0, 2 * math.pi, (20, 4))
+    energies = _energies(plan, thetas)
+    kept = energies.copy()
+    value = objective(thetas[3])
+    state = run_qaoa(inst, ParameterVector.from_flat(thetas[5]))
+    kept_state = state.copy()
+    for _ in range(3):
+        other = rng.uniform(0.0, 2 * math.pi, (20, 4))
+        _energies(plan, other)
+        objective(other[0])
+        plan.run(other[1:2])
+        run_qaoa(inst, ParameterVector.from_flat(other[2]))
+    assert np.array_equal(energies, kept)
+    assert np.array_equal(state.view(np.uint64), kept_state.view(np.uint64))
+    assert objective(thetas[3]) == value == energies[3] == _energies(_Plan(inst), thetas[3:4])[0]
+    # In steady state a scalar n=8 evaluation allocates no state-sized array: no page faults
+    # (a fresh state and a fresh mixer buffer used to cost about 480 per evaluation).
+    n8 = cli._energy_objective(_Plan(make_instance(random_complete_graph(8, 5), 2)))
+    theta = rng.uniform(0.0, 2 * math.pi, 4)
+    n8(theta)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        n8(theta)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20
+    # Nor a state-sized temporary that the allocator recycles unfaulted (a fresh phase gather, or
+    # take's default mode="raise", which gathers into a fresh copy of its out buffer).
+    tracemalloc.start()
+    try:
+        n8(theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4**8 * 16 // 8
+
+
+@pytest.mark.parametrize("graph_name", ["g4.edgelist", "k5_weighted.edgelist"])
+def test_solve_reports_match_per_row_reference(monkeypatch, graph_name):
+    # The same solve with every evaluation run by reference_run, one scalar circuit per row with the
+    # per-beta Python mixer terms, must give the same report, trace and theta bytes.
+    graph = load_graph(str(GRAPHS / graph_name))
+
+    def solve():
+        search, refine_cfg, shots_seed = cli.build_configs({"m": 60, "max_evals": 80}, 3)
+        report, trace, result = cli.run_solve(graph, 2, Backend.DIAGONAL, search, refine_cfg, 3, 512, shots_seed)
+        return cli.report_to_json(report), trace_to_csv(trace), result.theta.tobytes()
+
+    def reference_energies(plan, thetas):
+        return [expectation(reference_run(plan.inst, ParameterVector.from_flat(t)), plan.inst.cost) for t in thetas]
+
+    planned = solve()
+    monkeypatch.setattr(simulator, "_mixer_blocks", reference_mixer_blocks)
+    monkeypatch.setattr(cli, "_energies", reference_energies)
+    monkeypatch.setattr(cli, "_energy_objective", lambda plan: lambda theta: reference_energies(plan, [theta])[0])
+    assert solve() == planned
 
 
 def test_first_run_qaoa_peaks_below_three_states():

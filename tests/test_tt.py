@@ -527,3 +527,21 @@ def test_checkpoint_format_errors(tmp_path):
             path.write_text("\n".join(mangled) + "\n")
             with pytest.raises(ValueError, match=f"non-finite entry at checkpoint line {row + 1}"):
                 load_tt_text(str(path))
+
+
+def test_checkpoint_errors_count_blank_lines(tmp_path):
+    # Blank lines load, but the line an error names is the file's own: with a blank line
+    # after the four header lines, core 0's entries sit on line 7.
+    path = tmp_path / "spaced.tt"
+    save_tt_text(random_tt(2, 3, 2, np.random.default_rng(21)), str(path))
+    lines = path.read_text().splitlines()
+    spaced = lines[:4] + [""] + lines[4:]
+    path.write_text("\n".join(spaced) + "\n")
+    assert load_tt_text(str(path)).shape == (3, 3)
+    spaced[6] = " ".join(["nan"] + spaced[6].split()[1:])
+    path.write_text("\n".join(spaced) + "\n")
+    with pytest.raises(ValueError, match="non-finite entry at checkpoint line 7$"):
+        load_tt_text(str(path))
+    path.write_text("\n".join(lines[:4] + [""] + lines[4:] + ["", "core 2"]) + "\n")
+    with pytest.raises(ValueError, match="after the last core at checkpoint line 11$"):
+        load_tt_text(str(path))
