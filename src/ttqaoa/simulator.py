@@ -20,14 +20,16 @@ The gates address qubits through one strided view, with no index array.  The
 mixer is one 16x16 matmul per two vertices (apply_rx is its gate-by-gate
 reference), its matrices built for all betas at once, bit for bit Python's
 c ** (q - h) * s ** h: np.float_power calls libm's pow as Python does, where
-np.power's SIMD loop can move a last bit.  A _Plan owns one (rows, D) state
-and one scratch buffer, rows = max(1, STACK_AMPLITUDES // D), as long as it
-lives: run_solve keeps one for its search, refinement and final state, and
-run_qaoa builds one per call.  Phases are gathered into the scratch by take's
-mode="clip" (mode="raise" gathers into a fresh copy of out first), the mixer
-passes between the buffers, and _measure takes |amp|**2, for the norm check
-and the energy, in the free one.  _energies runs (B, 2p) angle arrays through
-a plan; rows equal one-row runs bit for bit.  make_instance checks MAX_QUBITS.
+np.power's SIMD loop can move a last bit.  A _Plan owns one state and one
+scratch buffer as long as it lives, grown to the largest batch it has run and
+at most (rows, D), rows = max(1, STACK_AMPLITUDES // D): run_solve keeps one
+for its search, refinement and final state, and run_qaoa builds one per call.
+_phase_diagonal, apply_phase_diagonal's kernel, gathers the plan's phases into
+the scratch by take's mode="clip" (mode="raise" gathers into a fresh copy of
+out first), the mixer passes between the buffers, and _measure takes
+|amp|**2, for the norm check and the energy, in the free one.  _energies runs
+(B, 2p) angle arrays through a plan; rows equal one-row runs bit for bit.
+make_instance checks MAX_QUBITS.
 """
 from __future__ import annotations
 
@@ -221,19 +223,23 @@ def apply_mixer(state: np.ndarray, beta: float | np.ndarray, n: int) -> np.ndarr
 
 
 def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float | np.ndarray) -> np.ndarray:
-    """amplitude[z] *= exp(-i*gamma*cost[z]/2), one exp per cost level gathered per entry, bit for bit.
+    """amplitude[z] *= exp(-i*gamma*cost[z]/2), one exp per cost level gathered per entry by _phase_diagonal.
 
-    Takes one statevector and a scalar gamma, or a (B, D) stack and a (B, 1)
-    column of gammas; rows equal one-row calls bit for bit.
+    Takes one statevector and a scalar gamma, or a (B, D) stack and (B, 1) gammas; rows equal one-row calls bit for bit.
     """
     if state.shape[-1] != cost.values.size:
         raise ValueError(f"state length {state.shape[-1]} does not match cost diagonal {cost.values.size}")
     stack = (*state.shape[:-1], 1) if state.ndim > 1 else ()
     if np.shape(gamma) != stack:
         raise ValueError(f"gamma shape {np.shape(gamma)} does not match the state stack {state.shape[:-1]}")
+    return _phase_diagonal(state, cost, gamma)
+
+
+def _phase_diagonal(rows: np.ndarray, cost: CostDiagonal, gammas, out: np.ndarray | None = None) -> np.ndarray:
+    """rows *= exp(-0.5j * gammas * levels), gathered per entry into out if given (see the module docstring)."""
     levels, inverse = cost.levels
-    state *= np.exp(-0.5j * gamma * levels).take(inverse, axis=-1)
-    return state
+    rows *= np.exp(-0.5j * gammas * levels).take(inverse, axis=-1, out=out, mode="clip")
+    return rows
 
 
 def _color_block(state: np.ndarray, color_dim: int, when: str) -> np.ndarray:
@@ -296,28 +302,24 @@ class _Plan:
 
     def __init__(self, inst: QaoaInstance):
         self.inst = inst
-        if inst.backend is Backend.DIAGONAL:  # the level sort's temporaries are freed before the buffers exist
-            levels, self.inverse = inst.cost.levels
-            self.half_levels = -0.5j * levels
-        size = 1 << _register_qubits(inst.graph.n, inst.backend)
-        self.rows = max(1, STACK_AMPLITUDES // size)
-        self.state, self.scratch = (np.empty((self.rows, size), dtype=complex) for _ in range(2))
+        if inst.backend is Backend.DIAGONAL:
+            inst.cost.levels  # built now, so the level sort's temporaries are freed before any buffer exists
+        self.state = self.scratch = np.empty((0, 1 << _register_qubits(inst.graph.n, inst.backend)), dtype=complex)
+        self.rows = max(1, STACK_AMPLITUDES // self.state.shape[1])
 
     def run(self, thetas: np.ndarray, cost: CostDiagonal | None = None) -> tuple[np.ndarray, list[float]]:
         """The p layers and _measure on one register per row of (B, 2p) flat angles, B <= rows.
 
         Returns the rows, a view of a plan buffer until the next run, and each row's <cost> given a cost.
-        exp(gamma * half_levels) is apply_phase_diagonal's exp(-0.5j * gamma * levels) bit for bit: halving is exact.
         """
-        n = self.inst.graph.n
+        n, size = self.inst.graph.n, self.state.shape[1]
+        if len(self.state) < len(thetas):
+            self.state, self.scratch = (np.empty((len(thetas), size), dtype=complex) for _ in range(2))
         state, scratch = self.state[: len(thetas)], self.scratch[: len(thetas)]
         state[:, : 4**n], state[:, 4**n :] = 2.0**-n, 0.0
         gammas, betas = (angles.T[..., None] for angles in np.split(thetas, 2, axis=1))
         for gamma, *blocks in zip(gammas, *_mixer_blocks(betas, n)):
-            if self.inst.backend is Backend.GATE:
-                _phase_layer(self.inst, state, gamma)
-            else:
-                state *= np.exp(gamma * self.half_levels).take(self.inverse, axis=-1, out=scratch, mode="clip")
+            _phase_layer(self.inst, state, gamma, scratch)
             state, scratch = _mix(state, scratch, blocks, n)
         return state, _measure(state, cost, scratch)
 
@@ -330,10 +332,10 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
     return state
 
 
-def _phase_layer(inst: QaoaInstance, rows: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """One phase separator per row of a (B, D) stack, gammas a (B, 1) column, in place; GATE goes row by row."""
+def _phase_layer(inst: QaoaInstance, rows: np.ndarray, gammas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Phase layers on a (B, D) stack in place, gammas a (B, 1) column: DIAGONAL gathers into out, GATE row by row."""
     if inst.backend is Backend.DIAGONAL:
-        return apply_phase_diagonal(rows, inst.cost, gammas)
+        return _phase_diagonal(rows, inst.cost, gammas, out)
     for row, (gamma,) in zip(rows, gammas.tolist()):
         apply_phase_gate_level(row, inst.graph, gamma)
     return rows
@@ -345,11 +347,7 @@ def _measure(rows: np.ndarray, cost: CostDiagonal | None = None, scratch: np.nda
     for norm in np.sqrt(np.square(probs, out=probs).sum(axis=1)).tolist():
         if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError(f"statevector norm drifted to {norm}")
-    if cost is None:
-        return []
-    for row in rows:
-        _color_block(row, cost.values.size, "at measurement")
-    return [float(row_probs[: cost.values.size] @ cost.values) for row_probs in probs]
+    return [] if cost is None else [_energy(row, row_probs, cost) for row, row_probs in zip(rows, probs)]
 
 
 def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
@@ -397,15 +395,17 @@ def _energies(plan: _Plan, thetas: np.ndarray) -> np.ndarray:
 
 def expectation(state: np.ndarray, cost: CostDiagonal) -> float:
     """<cost> in the current state; ancillas, if present, are checked to be in |00>, not traced out."""
-    probs = np.abs(_color_block(state, cost.values.size, "at measurement")) ** 2
-    return float(probs @ cost.values)
+    return _energy(state, np.abs(state[: cost.values.size]) ** 2, cost)
+
+
+def _energy(state: np.ndarray, probs: np.ndarray, cost: CostDiagonal) -> float:
+    """<cost> of one register whose |amp|**2 is probs, after checking that its ancilla blocks hold no mass."""
+    _color_block(state, cost.values.size, "at measurement")
+    return float(probs[: cost.values.size] @ cost.values)
 
 
 def sample_counts(
-    state: np.ndarray,
-    shots: int,
-    rng: np.random.Generator,
-    color_dim: int | None = None,
+    state: np.ndarray, shots: int, rng: np.random.Generator, color_dim: int | None = None
 ) -> dict[int, int]:
     """Multinomial draw of measurement outcomes, ancillas checked to be in |00> and stripped.
 

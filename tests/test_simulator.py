@@ -509,6 +509,7 @@ def test_plan_results_survive_later_evaluations_without_faults():
     kept = energies.copy()
     value = objective(thetas[3])
     state = run_qaoa(inst, ParameterVector.from_flat(thetas[5]))
+    assert state.base.shape == (1, 256)  # a one-row run allocates, and keeps alive, no spare rows
     kept_state = state.copy()
     for _ in range(3):
         other = rng.uniform(0.0, 2 * math.pi, (20, 4))
