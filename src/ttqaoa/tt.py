@@ -22,10 +22,14 @@ The squared weights and the suffix Grams are two-operand products: numpy
 runs a three-operand einsum without BLAS, about ten times slower at R=5,
 N=100.
 
-One gradient kernel serves log_value_grad and ascent_step: it gathers every
-core's chosen slices for all indices, builds prefix and suffix interfaces
-with batched matrix products, and scatter-adds the outer products, so
-repeated indices accumulate in batch order.
+One gradient kernel serves log_value_grad and ascent_step: from every
+index's slices of every core it builds the prefix and suffix interfaces with
+batched matrix products, and each index's outer products over its value.
+ascent_step gathers each core's distinct batch slices once per call and runs
+every round on that compact copy: a round takes the rows' slices from it
+and scatter-adds the terms back, so repeated indices accumulate in batch
+order.  The slices are written back once, and the cores end bit-identical
+to updating whole cores every round.
 
 Ascent can push core entries negative.  No positivity constraint is
 enforced; the samplers clamp negative conditional weights to zero and fall
@@ -34,6 +38,7 @@ diagnostics dict).  A non-finite conditional weight raises ValueError.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -230,28 +235,49 @@ def sample_squared_batch(
     return _draw(t, count, rng, suffix_grams(t), True, diagnostics), diagnostics
 
 
-def _log_grads(t: TTDistribution, idx: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Summed gradient of ln(value) over the rows of an (E, d) index array.
+class _GradKernel:
+    """Gradient terms of ln(value) for a fixed number of indices, in buffers reused by every run.
 
-    Each index adds outer(prefix, suffix) / value to its slice of each core;
-    values <= 0 divide as VALUE_FLOOR.  Also returns the unclamped values.
+    Row e of gathered holds index e's slice of every core, core k's
+    R_k x R_k+1 entries after core k-1's.  run writes index e's term for each
+    core, outer(prefix_k, suffix_k+1) / value_e, to row e of terms in the
+    same layout, so one division covers every core.  Values <= 0 divide as
+    VALUE_FLOOR.
     """
-    ones = np.ones((len(idx), 1, 1))
-    slices = [core[:, idx[:, k], :].transpose(1, 0, 2) for k, core in enumerate(t.cores)]
-    pre = [ones]
-    for s in slices:
-        pre.append(pre[-1] @ s)
-    suf = [ones] * (t.d + 1)
-    for k in range(t.d - 1, -1, -1):
-        suf[k] = slices[k] @ suf[k + 1]
-    values = pre[t.d][:, 0, 0]
-    divisor = np.where(values <= 0.0, VALUE_FLOOR, values)[:, None, None]
-    grads = []
-    for k, core in enumerate(t.cores):
-        g = np.zeros((core.shape[1], core.shape[0], core.shape[2]))
-        np.add.at(g, idx[:, k], pre[k].transpose(0, 2, 1) * suf[k + 1].transpose(0, 2, 1) / divisor)
-        grads.append(g.transpose(1, 0, 2))
-    return grads, values
+
+    def __init__(self, t: TTDistribution, count: int) -> None:
+        self.shapes = [(core.shape[0], core.shape[2]) for core in t.cores]
+        width = sum(left * right for left, right in self.shapes)
+        self.gathered, self.terms = np.empty((count, width)), np.empty((count, width))
+        self.slices, self.term_views = self._views(self.gathered), self._views(self.terms)
+        d = t.d
+        ones = np.ones((count, 1, 1))
+        # The boundary interfaces are ones, and a product with ones equals the other factor.  No
+        # term reads suf[0].
+        self.pre = [ones, self.slices[0]] + [np.empty((count, 1, right)) for _, right in self.shapes[1:]]
+        self.suf = [np.empty((count, left, 1)) for left, _ in self.shapes] + [ones]
+        self.suf[d - 1] = self.slices[d - 1]
+        self.outer = [(p.transpose(0, 2, 1), s.transpose(0, 2, 1)) for p, s in zip(self.pre, self.suf[1:])]
+        self.values = self.pre[d][:, 0, 0]
+
+    def _views(self, buf: np.ndarray) -> list[np.ndarray]:
+        views, offset = [], 0
+        for left, right in self.shapes:
+            views.append(buf[:, offset : offset + left * right].reshape(len(buf), left, right))
+            offset += left * right
+        return views
+
+    def run(self) -> np.ndarray:
+        """Terms from the current gathered slices; returns the unclamped values."""
+        d = len(self.slices)
+        for k in range(1, d):
+            np.matmul(self.pre[k], self.slices[k], out=self.pre[k + 1])
+        for k in range(d - 2, 0, -1):
+            np.matmul(self.slices[k], self.suf[k + 1], out=self.suf[k])
+        for (p, s), out in zip(self.outer, self.term_views):
+            np.multiply(p, s, out=out)
+        self.terms /= np.where(self.values <= 0.0, VALUE_FLOOR, self.values)[:, None]
+        return self.values
 
 
 def log_value_grad(t: TTDistribution, idx: Sequence[int]) -> list[np.ndarray]:
@@ -261,9 +287,15 @@ def log_value_grad(t: TTDistribution, idx: Sequence[int]) -> list[np.ndarray]:
     outer product of the prefix and suffix interfaces divided by the value.
     """
     idx = _check_index(t, idx)
-    grads, values = _log_grads(t, np.array([idx]))
+    kernel = _GradKernel(t, 1)
+    for s, core, i in zip(kernel.slices, t.cores, idx):
+        s[0] = core[:, i, :]
+    values = kernel.run()
     if values[0] <= 0.0:
         raise ValueError(f"tensor value {values[0]} at {idx} is not positive; log-gradient undefined")
+    grads = [np.zeros_like(core) for core in t.cores]
+    for g, term, i in zip(grads, kernel.term_views, idx):
+        g[:, i, :] += term[0]
     return grads
 
 
@@ -283,17 +315,42 @@ def ascent_step(
     """
     if not batch:
         raise ValueError("ascent batch must be non-empty")
-    if learning_rate < 0.0:
-        raise ValueError(f"learning rate must be >= 0, got {learning_rate}")
-    if step_count < 0:
-        raise ValueError(f"step count must be >= 0, got {step_count}")
-    idx = np.array([_check_index(t, i) for i in batch])
+    if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
+        raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+    if not isinstance(step_count, (int, np.integer)) or step_count < 0:
+        raise ValueError(f"step_count must be an integer >= 0, got {step_count!r}")
+    rows = [_check_index(t, i) for i in batch]
+    # Only the batch's slices change, so the rounds run on a copy of them.  compact holds each core's
+    # distinct slices (first-appearance order, found with a dict: np.unique's first call raises
+    # peak RSS by about 0.5 MB, numpy 2.4), one core after another.  slot maps every entry of the
+    # kernel's gathered rows to its place in compact; the terms scatter-add back through it, so a
+    # slice that several rows share sums their terms in batch order.
+    kernel = _GradKernel(t, len(rows))
+    columns = [list(column) for column in zip(*rows)]
+    parts, slot, offset = [], [], 0
+    for core, column in zip(t.cores, columns):
+        first: dict[int, int] = {}
+        position = np.array([first.setdefault(i, len(first)) for i in column])
+        size = core.shape[0] * core.shape[2]
+        parts.append(core[:, list(first), :].transpose(1, 0, 2).ravel())
+        slot.append(offset + size * position[:, None] + np.arange(size))
+        offset += size * len(first)
+    compact, slot = np.concatenate(parts), np.concatenate(slot, axis=1)
     diagnostics = {"clamped_values": 0}
     for _ in range(step_count):
-        grads, values = _log_grads(t, idx)
-        diagnostics["clamped_values"] += int((values <= 0.0).sum())
-        for core, g in zip(t.cores, grads):
-            core += learning_rate * g
+        np.take(compact, slot, out=kernel.gathered, mode="clip")  # "clip" writes out directly; no copy
+        values = kernel.run()
+        diagnostics["clamped_values"] += int(np.count_nonzero(values <= 0.0))
+        grad = np.zeros_like(compact)
+        np.add.at(grad, slot, kernel.terms)
+        grad *= learning_rate
+        compact += grad
+    # A full-core update adds learning_rate * 0.0 to every untouched entry, which leaves it as it is
+    # for a finite rate (bar a -0.0 entry, which ascent never produces): writing back only the
+    # batch's slices ends bit-identical to one.
+    np.take(compact, slot, out=kernel.gathered, mode="clip")
+    for core, column, s in zip(t.cores, columns, kernel.slices):
+        core[:, column, :] = s.transpose(1, 0, 2)
     return diagnostics
 
 

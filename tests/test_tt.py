@@ -1,8 +1,12 @@
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ttqaoa import cli, protes, tt
+from ttqaoa.protes import ProtesConfig, optimize, trace_to_csv
 from ttqaoa.tt import (
     CHECKPOINT_MAGIC,
     INIT_FLOOR,
@@ -138,6 +142,38 @@ def ref_ascent_step(t, batch, learning_rate, step_count):
                 accum[k][:, idx[k], :] += np.outer(pre[k], suf[k + 1]) / value
         for k in range(t.d):
             t.cores[k] += learning_rate * accum[k]
+    return diagnostics
+
+
+def full_core_log_grads(t, idx):
+    """The gradient kernel as it ran before ascent worked on compact slices: whole cores per round."""
+    ones = np.ones((len(idx), 1, 1))
+    slices = [core[:, idx[:, k], :].transpose(1, 0, 2) for k, core in enumerate(t.cores)]
+    pre = [ones]
+    for s in slices:
+        pre.append(pre[-1] @ s)
+    suf = [ones] * (t.d + 1)
+    for k in range(t.d - 1, -1, -1):
+        suf[k] = slices[k] @ suf[k + 1]
+    values = pre[t.d][:, 0, 0]
+    divisor = np.where(values <= 0.0, VALUE_FLOOR, values)[:, None, None]
+    grads = []
+    for k, core in enumerate(t.cores):
+        g = np.zeros((core.shape[1], core.shape[0], core.shape[2]))
+        np.add.at(g, idx[:, k], pre[k].transpose(0, 2, 1) * suf[k + 1].transpose(0, 2, 1) / divisor)
+        grads.append(g.transpose(1, 0, 2))
+    return grads, values
+
+
+def full_core_ascent_step(t, batch, learning_rate, step_count):
+    """Every round re-gathers the slices and adds learning_rate * gradient to every core entry."""
+    idx = np.array([tuple(i) for i in batch])
+    diagnostics = {"clamped_values": 0}
+    for _ in range(step_count):
+        grads, values = full_core_log_grads(t, idx)
+        diagnostics["clamped_values"] += int((values <= 0.0).sum())
+        for core, g in zip(t.cores, grads):
+            core += learning_rate * g
     return diagnostics
 
 
@@ -431,6 +467,91 @@ def test_gradients_match_per_index_reference():
     assert_cores_close(t.cores, want.cores)
 
 
+def ascent_cases():
+    """Trains and elite batches covering every path of the compact ascent kernel."""
+    rng = np.random.default_rng(24)
+    for case in range(80):
+        d = 1 if case % 8 == 0 else int(rng.integers(2, 8))
+        n_nodes, rank = int(rng.integers(2, 40)), int(rng.integers(1, 6))
+        t = random_tt(d, n_nodes, rank, rng) if case % 2 else signed_tt(d, n_nodes, rank, case)
+        count = int(rng.integers(1, 12))
+        if case % 3 == 0:
+            # Distinct elites in every core.
+            count = min(count, n_nodes)
+            batch = [tuple((e + k) % n_nodes for k in range(d)) for e in range(count)]
+        else:
+            # Few nodes to choose from, so elites share slices.
+            pool = int(rng.integers(1, 4))
+            batch = [tuple(int(i) for i in rng.integers(0, min(pool, n_nodes), d)) for _ in range(count)]
+        # A signed train's clamped values step by about 1 / VALUE_FLOOR, and a long run overflows.
+        steps = 0 if case % 10 == 3 else int(rng.integers(1, 21 if case % 2 else 3))
+        rate = 0.0 if case % 10 == 7 else float(rng.choice([1e-3, 0.05, 0.3]))
+        yield t, batch, rate, steps
+    # Values at and below zero are clamped for the division: a zero entry, and a negative one that
+    # the first round's step through 1 / VALUE_FLOOR makes positive.
+    yield TTDistribution([np.array([-1.0, 2.0]).reshape(1, 2, 1)]), [(0,), (1,), (0,)], 0.01, 2
+    zero = random_tt(3, 4, 2, np.random.default_rng(25))
+    zero.cores[1][:, 2, :] = 0.0
+    yield zero, [(0, 2, 1), (3, 1, 0), (0, 2, 1)], 0.05, 3
+
+
+def test_ascent_step_matches_full_core_loop_bit_for_bit():
+    seen = {"distinct": 0, "repeated": 0, "signed": 0, "d=1": 0, "no steps": 0, "zero rate": 0, "clamped": 0}
+    for t, batch, rate, steps in ascent_cases():
+        want = copy_tt(t)
+        want_diag = full_core_ascent_step(want, batch, rate, steps)
+        assert ascent_step(t, batch, rate, steps) == want_diag
+        assert [core.tobytes() for core in t.cores] == [core.tobytes() for core in want.cores]
+        columns = [set(column) for column in zip(*batch)]
+        seen["distinct"] += all(len(c) == len(batch) for c in columns) and len(batch) > 1
+        seen["repeated"] += any(len(c) < len(batch) for c in columns)
+        seen["signed"] += any((core < 0.0).any() for core in t.cores)
+        seen["d=1"] += t.d == 1
+        seen["no steps"] += steps == 0
+        seen["zero rate"] += rate == 0.0
+        seen["clamped"] += want_diag["clamped_values"] > 0
+    assert min(seen.values()) > 0, seen
+
+
+BENCH_TARGET = (3, 7, 1, 8, 5, 2)
+
+
+def test_searches_match_full_core_reference(monkeypatch, tmp_path):
+    # Two criterion-6 searches, with ascent_step replaced by the full-core loop where optimize looks
+    # it up, give the same traces, diagnostics and checkpoint bytes.
+    def search(seed):
+        config = ProtesConfig(
+            rank=5, batch_size=30, elite_count=3, ascent_steps=20, learning_rate=0.3,
+            nodes_per_dim=10, budget=1000, seed=seed,
+        )
+        trace = optimize(lambda idx: float(sum((i - c) ** 2 for i, c in zip(idx, BENCH_TARGET))), 6, config)
+        path = tmp_path / f"search{seed}.tt"
+        save_tt_text(trace.tt, str(path))
+        return trace_to_csv(trace), trace.diagnostics, path.read_bytes()
+
+    compact = [search(seed) for seed in (0, 4)]
+    monkeypatch.setattr(tt, "ascent_step", full_core_ascent_step)
+    monkeypatch.setattr(protes, "ascent_step", full_core_ascent_step)
+    assert [search(seed) for seed in (0, 4)] == compact
+
+
+def test_solve_matches_full_core_reference(monkeypatch, tmp_path):
+    graph = str(Path(__file__).resolve().parent.parent / "graphs" / "g4.edgelist")
+
+    def solve(tag):
+        outputs = [tmp_path / f"{tag}.{suffix}" for suffix in ("json", "csv", "tt")]
+        argv = ["solve", "--graph", graph, "--p", "2", "--seed", "5"]
+        for flag, path in zip(("--out", "--trace-out", "--tt-out"), outputs):
+            argv += [flag, str(path)]
+        assert cli.main(argv) == 0
+        return [path.read_bytes() for path in outputs]
+
+    compact = solve("compact")
+    monkeypatch.setattr(tt, "ascent_step", full_core_ascent_step)
+    monkeypatch.setattr(protes, "ascent_step", full_core_ascent_step)
+    assert solve("full") == compact
+
+
 def test_ascent_step_zero_rate_is_identity():
     t = random_tt(3, 4, 2, np.random.default_rng(15))
     before = [c.copy() for c in t.cores]
@@ -474,12 +595,19 @@ def test_ascent_step_clamps_nonpositive_values():
 
 def test_ascent_step_argument_guards():
     t = random_tt(2, 3, 2, np.random.default_rng(18))
+    before = [core.tobytes() for core in t.cores]
     with pytest.raises(ValueError):
         ascent_step(t, [], 0.1, 1)
-    with pytest.raises(ValueError):
-        ascent_step(t, [(0, 0)], -0.1, 1)
-    with pytest.raises(ValueError):
-        ascent_step(t, [(0, 0)], 0.1, -1)
+    # A non-finite rate used to fill the cores with nan or inf.
+    for rate in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            ascent_step(t, [(0, 1)], rate, 2)
+    # A fractional count used to raise TypeError from range.
+    for steps in (-1, 1.5, 2.0):
+        with pytest.raises(ValueError, match="step_count"):
+            ascent_step(t, [(0, 1)], 0.1, steps)
+    assert [core.tobytes() for core in t.cores] == before
+    assert ascent_step(t, [(0, 1)], 0.1, np.int64(2)) == {"clamped_values": 0}
     for batch, axis in (([(0, 0), (0.5, 2.99)], 0), ([(1, 2.99)], 1)):
         with pytest.raises(ValueError, match=f"axis {axis}"):
             ascent_step(t, batch, 0.01, 1)
