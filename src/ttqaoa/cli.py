@@ -144,6 +144,8 @@ def run_solve(
     shots_seed: int,
 ) -> tuple[dict[str, object], OptimizationTrace, RefineResult]:
     """Full pipeline on one graph; returns the report plus stage results."""
+    if shots < 1:  # before the search, which can take hours; sample_counts checks again
+        raise ValueError(f"shots must be >= 1, got {shots}")
     t0 = time.perf_counter()
     colors, optimal = brute_force_max_cut(g, 3)
     if optimal <= 0.0:

@@ -20,16 +20,16 @@ The gates address qubits through one strided view, with no index array.  The
 mixer is one 16x16 matmul per two vertices (apply_rx is its gate-by-gate
 reference), its matrices built for all betas at once, bit for bit Python's
 c ** (q - h) * s ** h: np.float_power calls libm's pow as Python does, where
-np.power's SIMD loop can move a last bit.  A _Plan owns one state and one
-scratch buffer as long as it lives, grown to the largest batch it has run and
+np.power's SIMD loop can move a last bit.  Circuits run as (B, D) stacks on
+buffers that their caller owns; rows equal one-row runs bit for bit.  A _Plan
+owns a state and a scratch buffer, grown to the largest batch it has run and
 at most (rows, D), rows = max(1, STACK_AMPLITUDES // D): run_solve keeps one
 for its search, refinement and final state, and run_qaoa builds one per call.
-_phase_diagonal, apply_phase_diagonal's kernel, gathers the plan's phases into
-the scratch by take's mode="clip" (mode="raise" gathers into a fresh copy of
-out first), the mixer passes between the buffers, and _measure takes
-|amp|**2, for the norm check and the energy, in the free one.  _energies runs
-(B, 2p) angle arrays through a plan; rows equal one-row runs bit for bit.
-make_instance checks MAX_QUBITS.
+energy_grid owns a register and two row stacks.  _phase_diagonal gathers the
+phases into the scratch by take's mode="clip" (mode="raise" gathers into a
+fresh copy of out first), _mix passes between the buffers, and _measure takes
+|amp|**2 in the free one.  apply_mixer and apply_phase_diagonal run these
+kernels on one statevector.  make_instance checks MAX_QUBITS.
 """
 from __future__ import annotations
 
@@ -205,33 +205,27 @@ def prepare_initial(n: int, backend: Backend = Backend.DIAGONAL) -> np.ndarray:
     return state
 
 
-def apply_mixer(state: np.ndarray, beta: float | np.ndarray, n: int) -> np.ndarray:
-    """exp(-i*beta*X) on each of the 2n color qubits; ancillas are untouched.
+def apply_mixer(state: np.ndarray, beta: float, n: int) -> np.ndarray:
+    """exp(-i*beta*X) on each of the 2n color qubits of one statevector; ancillas are untouched.
 
-    Takes one statevector and a scalar beta, or a (B, D) stack and (B,) betas; _mix runs between
-    the state and a fresh buffer.  Rows equal one-row calls bit for bit, and apply_rx to 1e-13.
+    _mix runs it as a one-row stack between the state and a fresh buffer, equal to the plan's rows bit for bit
+    and to apply_rx to 1e-13.  A (B, D) stack or a non-scalar beta raises: stacks go through _mix.
     """
-    betas = np.asarray(beta, dtype=float)
-    if betas.shape != state.shape[:-1]:
-        raise ValueError(f"beta shape {betas.shape} does not match the state stack {state.shape[:-1]}")
+    if state.ndim != 1 or np.ndim(beta) != 0:
+        raise ValueError(f"one state and scalar beta expected, got {state.shape}, {np.shape(beta)}")
     _check_qubits(state, 2 * n - 1)
-    rows = state.reshape(-1, state.shape[-1])
-    mixed, _ = _mix(rows, np.empty_like(rows), _mixer_blocks(betas.reshape(-1, 1), n), n)
-    if mixed is not rows:
-        rows[...] = mixed
+    blocks = _mixer_blocks(np.full((1, 1), beta, dtype=float), n)
+    state[...] = _mix(state[None], np.empty_like(state)[None], blocks, n)[0][0]
     return state
 
 
-def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float | np.ndarray) -> np.ndarray:
-    """amplitude[z] *= exp(-i*gamma*cost[z]/2), one exp per cost level gathered per entry by _phase_diagonal.
+def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) -> np.ndarray:
+    """amplitude[z] *= exp(-i*gamma*cost[z]/2) on one statevector, one exp per cost level gathered by _phase_diagonal.
 
-    Takes one statevector and a scalar gamma, or a (B, D) stack and (B, 1) gammas; rows equal one-row calls bit for bit.
+    A (B, D) stack, a state of another length or a non-scalar gamma raises: stacks go through _phase_diagonal.
     """
-    if state.shape[-1] != cost.values.size:
-        raise ValueError(f"state length {state.shape[-1]} does not match cost diagonal {cost.values.size}")
-    stack = (*state.shape[:-1], 1) if state.ndim > 1 else ()
-    if np.shape(gamma) != stack:
-        raise ValueError(f"gamma shape {np.shape(gamma)} does not match the state stack {state.shape[:-1]}")
+    if state.shape != cost.values.shape or np.ndim(gamma) != 0:
+        raise ValueError(f"a {cost.values.shape} state and scalar gamma expected, got {state.shape}, {np.shape(gamma)}")
     return _phase_diagonal(state, cost, gamma)
 
 
@@ -332,7 +326,7 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
     return state
 
 
-def _phase_layer(inst: QaoaInstance, rows: np.ndarray, gammas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _phase_layer(inst: QaoaInstance, rows: np.ndarray, gammas: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Phase layers on a (B, D) stack in place, gammas a (B, 1) column: DIAGONAL gathers into out, GATE row by row."""
     if inst.backend is Backend.DIAGONAL:
         return _phase_diagonal(rows, inst.cost, gammas, out)
@@ -341,9 +335,9 @@ def _phase_layer(inst: QaoaInstance, rows: np.ndarray, gammas: np.ndarray, out: 
     return rows
 
 
-def _measure(rows: np.ndarray, cost: CostDiagonal | None = None, scratch: np.ndarray | None = None) -> list[float]:
+def _measure(rows: np.ndarray, cost: CostDiagonal | None, scratch: np.ndarray) -> list[float]:
     """Raise unless every row of a (B, D) stack kept unit norm (NaN fails too); given a cost, each row's own <cost>."""
-    probs = np.abs(rows, out=None if scratch is None else scratch.view(float)[:, : rows.shape[1]])
+    probs = np.abs(rows, out=scratch.view(float)[:, : rows.shape[1]])
     for norm in np.sqrt(np.square(probs, out=probs).sum(axis=1)).tolist():
         if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError(f"statevector norm drifted to {norm}")
@@ -353,28 +347,30 @@ def _measure(rows: np.ndarray, cost: CostDiagonal | None = None, scratch: np.nda
 def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
     """Depth-1 energies over a grid: entry (i, j) is <cost> after gamma_i then beta_j.
 
-    One phase layer per gamma; its color block (on GATE the ancilla blocks, checked empty, hold exact
-    zeros, as the gate layer only swaps amplitudes) is copied into one row per beta, and the rows are
-    mixed and measured in stacks of at most STACK_AMPLITUDES amplitudes: entries are run_qaoa's, bit for bit.
+    One phase layer per gamma on one register; its color block (on GATE the ancilla blocks, checked empty, hold
+    exact zeros) is copied into one row per beta, mixed and measured in stacks of at most STACK_AMPLITUDES
+    amplitudes beside a scratch stack that also takes the phase gather: entries are run_qaoa's, bit for bit.
     """
     if inst.depth != 1:
         raise ValueError(f"energy_grid evaluates depth-1 circuits, got depth {inst.depth}")
     gammas, betas = (np.asarray(x, dtype=float) for x in (gammas, betas))
     if gammas.ndim != 1 or betas.ndim != 1:
         raise ValueError("gammas and betas must be 1-D")
-    size = inst.cost.values.size
+    n, size = inst.graph.n, inst.cost.values.size
+    if inst.backend is Backend.DIAGONAL:
+        inst.cost.levels  # built first, as in _Plan, so the level sort's temporaries are freed before any buffer
     per_call = max(1, STACK_AMPLITUDES // size)
-    stack = np.empty((min(betas.size, per_call), size), dtype=complex)
+    register = np.empty((1, 1 << _register_qubits(n, inst.backend)), dtype=complex)
+    stack, scratch = (np.empty((min(max(betas.size, 1), per_call), size), dtype=complex) for _ in range(2))
     energies = np.empty((gammas.size, betas.size))
     for i, gamma in enumerate(gammas[:, None, None]):
-        # Bound before the phase layer runs, so the previous gamma's state is freed by then.
-        state = prepare_initial(inst.graph.n, inst.backend)[None]
-        state = _color_block(_phase_layer(inst, state, gamma)[0], size, "after the phase layer")
+        register[:, :size], register[:, size:] = 2.0**-n, 0.0
+        state = _color_block(_phase_layer(inst, register, gamma, scratch[:1])[0], size, "after the phase layer")
         for start in range(0, betas.size, per_call):
-            chunk = betas[start : start + per_call]
-            rows = stack[: chunk.size]
-            rows[...] = state
-            energies[i, start : start + chunk.size] = _measure(apply_mixer(rows, chunk, inst.graph.n), inst.cost)
+            chunk = betas[start : start + per_call, None]
+            stack[: len(chunk)] = state
+            mixed, free = _mix(stack[: len(chunk)], scratch[: len(chunk)], _mixer_blocks(chunk, n), n)
+            energies[i, start : start + len(chunk)] = _measure(mixed, inst.cost, free)
     return energies
 
 

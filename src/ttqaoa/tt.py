@@ -8,9 +8,8 @@ log-likelihood gradients each cost O(d N R^2) or less per index.
 sample draws with probability proportional to the tensor entry (suffix sums
 from right_marginals give the conditionals); sample_squared draws in
 proportion to the squared entry (suffix Gram matrices).  Squaring sharpens
-the contrast between high- and low-mass regions and keeps every index
-reachable after ascent drives core entries through zero, which is what the
-optimizer needs to concentrate within a small budget.
+the contrast between high- and low-mass regions, which is what the optimizer
+needs to concentrate within a small budget.
 
 Both schemes, single draws and batches alike, run through one kernel that
 draws K indices together, one dimension at a time, from a (K, R) array of
@@ -31,10 +30,10 @@ and scatter-adds the terms back, so repeated indices accumulate in batch
 order.  The slices are written back once, and the cores end bit-identical
 to updating whole cores every round.
 
-Ascent can push core entries negative.  No positivity constraint is
-enforced; the samplers clamp negative conditional weights to zero and fall
-back to a uniform draw on a vanished conditional (counted in the
-diagnostics dict).  A non-finite conditional weight raises ValueError.
+The search's trains stay positive: random_tt starts entries at INIT_FLOOR or
+above and a positive train's gradient terms are >= 0, so ascent never lowers
+an entry.  The samplers' clamps and uniform fallback (counted in diagnostics)
+guard signed trains from the API or a checkpoint; non-finite weights raise.
 """
 from __future__ import annotations
 
@@ -309,9 +308,11 @@ def ascent_step(
 
     Runs step_count rounds; each round recomputes the gradient of
     sum_i ln P[batch_i] against the current cores and adds learning_rate
-    times it.  Repeated indices in the batch count once per occurrence.  A
-    value driven to <= 0 mid-ascent is clamped to VALUE_FLOOR for the
-    division and counted in the returned diagnostics.
+    times it.  Repeated indices in the batch count once per occurrence.  No
+    entry of a positive train decreases.  A value <= 0 (only entries <= 0
+    give one) divides as VALUE_FLOOR, counted in the returned diagnostics:
+    such a train's steps grow about 1e12-fold and can overflow within a few
+    rounds.
     """
     if not batch:
         raise ValueError("ascent batch must be non-empty")

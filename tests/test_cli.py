@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ttqaoa import cli
 from ttqaoa.cli import (
     DEFAULT_SHOTS,
     build_configs,
@@ -338,6 +339,18 @@ def test_main_solve_rejects_weights_without_a_2pi_period(tmp_path, capsys):
     graph = write(tmp_path, "triangle.txt", "3 3\n0 1 0.5\n1 2 1.3\n0 2 1.0\n")
     assert main(["solve", "--graph", graph, "--p", "1", "--config", write(tmp_path, "conf.txt", TINY_CONFIG)]) == 1
     assert "2*pi gamma period" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shots", ["0", "-3"])
+def test_main_solve_refuses_bad_shots_before_any_stage(tmp_path, capsys, monkeypatch, shots):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve stage ran before the shots check")
+
+    for stage in ("brute_force_max_cut", "_optimize_batched", "refine"):
+        monkeypatch.setattr(cli, stage, unreachable)
+    graph = write(tmp_path, "g4.txt", G4_TEXT)
+    assert main(["solve", "--graph", graph, "--p", "2", "--shots", shots]) == 1
+    assert capsys.readouterr().err == f"error: shots must be >= 1, got {shots}\n"
 
 
 def test_main_missing_file_and_bad_usage(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import resource
 import tracemalloc
 from functools import reduce
@@ -226,6 +227,12 @@ def test_mixer_matches_kron_oracle():
     assert np.allclose(apply_mixer(state.copy(), beta, 2), full @ state, atol=1e-12)
 
 
+def mix(rows, betas, n):
+    """The plan's mixer kernel on a (B, D) stack with (B, 1) betas, between the stack and a fresh buffer."""
+    mixed, _ = simulator._mix(rows, np.empty_like(rows), simulator._mixer_blocks(betas, n), n)
+    return mixed
+
+
 @pytest.mark.parametrize("backend", list(Backend))
 @pytest.mark.parametrize("rows", [1, 3])
 def test_mixer_stack_rows_match_one_row_calls(rows, backend):
@@ -234,10 +241,12 @@ def test_mixer_stack_rows_match_one_row_calls(rows, backend):
     for n in (1, 2, 3, 4):
         size = len(prepare_initial(n, backend))
         stack = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
-        betas = rng.uniform(-4.0, 4.0, rows)
-        expected = np.array([apply_mixer(row.copy(), beta, n) for row, beta in zip(stack, betas)])
-        assert apply_mixer(stack, betas, n) is stack
-        assert np.array_equal(stack, expected)
+        betas = rng.uniform(-4.0, 4.0, (rows, 1))
+        expected = np.concatenate([mix(row[None].copy(), beta[None], n) for row, beta in zip(stack, betas)])
+        assert np.array_equal(mix(stack.copy(), betas, n), expected)
+        # apply_mixer is the one-row kernel on a single statevector.
+        for row, beta, want in zip(stack, betas[:, 0], expected):
+            assert np.array_equal(apply_mixer(row.copy(), beta, n), want)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -292,13 +301,13 @@ def test_vectorized_mixer_blocks_equal_python_terms_bit_for_bit(q):
     assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(stack, q).view(np.uint64))
 
 
-def test_mixer_beta_shape_must_match_stack():
-    stack = np.zeros((3, 16), dtype=complex)
-    for beta in ([0.1, 0.2], 0.1, [[0.1, 0.2, 0.3]]):
-        with pytest.raises(ValueError):
-            apply_mixer(stack, beta, 2)
-    with pytest.raises(ValueError):
-        apply_mixer(np.zeros(16, dtype=complex), [0.1], 2)
+def test_mixer_refuses_stacks_and_non_scalar_betas():
+    # Without the guard, a (B, D) stack would be mixed silently, every row by the one beta.
+    for shape, beta in (((3, 16), [0.1, 0.2, 0.3]), ((3, 16), 0.1), ((1, 16), 0.1), ((16,), [0.1]), ((16,), [[0.1]])):
+        with pytest.raises(ValueError, match=re.escape(f"scalar beta expected, got {shape}, {np.shape(beta)}")):
+            apply_mixer(np.zeros(shape, dtype=complex), beta, 2)
+    state = prepare_initial(2)
+    assert np.array_equal(apply_mixer(state.copy(), np.float64(0.4), 2), apply_mixer(state.copy(), np.array(0.4), 2))
 
 
 def test_energy_grid_shape_and_guards():
@@ -325,27 +334,28 @@ def test_energy_grid_shape_and_guards():
     ids=["g4-diagonal", "n5-gate", "n6-diagonal"],
 )
 def test_energy_grid_caps_rows_per_mixer_call(monkeypatch, graph, backend, shapes):
-    real_mixer = simulator.apply_mixer
+    # The grid mixes through the plan's _mix kernel: record the (rows, D) stack it mixes.
+    real_mix = simulator._mix
     seen = []
 
-    def recording_mixer(state, beta, n):
+    def recording_mix(state, scratch, matrices, n):
         seen.append(state.shape)
-        return real_mixer(state, beta, n)
+        return real_mix(state, scratch, matrices, n)
 
-    monkeypatch.setattr(simulator, "apply_mixer", recording_mixer)
+    monkeypatch.setattr(simulator, "_mix", recording_mix)
     energy_grid(make_instance(graph, 1, backend), [0.4], np.linspace(0.0, 3.0, 20))
     assert seen == shapes
 
 
 def test_energy_grid_checks_every_row_norm(monkeypatch):
-    real_mixer = simulator.apply_mixer
+    real_mix = simulator._mix
 
-    def leaky_mixer(state, beta, n):
-        real_mixer(state, beta, n)
-        state[-1] *= 1.001
-        return state
+    def leaky_mix(state, scratch, matrices, n):
+        mixed, free = real_mix(state, scratch, matrices, n)
+        mixed[-1] *= 1.001
+        return mixed, free
 
-    monkeypatch.setattr(simulator, "apply_mixer", leaky_mixer)
+    monkeypatch.setattr(simulator, "_mix", leaky_mix)
     with pytest.raises(RuntimeError, match="norm"):
         energy_grid(make_instance(G4, 1), [0.3], [0.1, 0.2, 0.3])
 
@@ -361,6 +371,29 @@ def test_energy_grid_rejects_ancilla_mass_before_dropping_it(monkeypatch):
     monkeypatch.setattr(simulator, "apply_phase_gate_level", leaky_phase)
     with pytest.raises(ValueError, match="after the phase layer"):
         energy_grid(make_instance(G4, 1, Backend.GATE), [0.3], [0.1])
+
+
+def test_energy_grid_peaks_below_three_states():
+    # One register, one row stack and one scratch stack of one row each at n=8, allocated after the cost
+    # levels are built, plus the level index that the first phase layer builds: a fresh register per gamma
+    # beside a persistent scratch stack reads four states.
+    inst = make_instance(random_complete_graph(8, 5), 1)
+    state_bytes = 4**8 * 16
+    tracemalloc.start()
+    try:
+        energy_grid(inst, [0.3, 1.2, 2.0], [0.4, 1.1, 2.9])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.1 * state_bytes + inst.cost.levels[1].nbytes
+    # With the levels built beforehand, only the grid's own buffers remain.
+    tracemalloc.start()
+    try:
+        energy_grid(inst, [0.3, 1.2, 2.0], [0.4, 1.1, 2.9])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.1 * state_bytes
 
 
 def test_phase_diagonal_values():
@@ -405,21 +438,22 @@ def test_phase_diagonal_stack_rows_match_one_row_calls():
         cost = build_cost_diagonal(graph)
         stack = rng.standard_normal((3, cost.values.size)) + 1j * rng.standard_normal((3, cost.values.size))
         gammas = rng.uniform(-4.0, 4.0, (3, 1))
-        expected = np.array([apply_phase_diagonal(row.copy(), cost, float(g)) for row, g in zip(stack, gammas[:, 0])])
-        assert apply_phase_diagonal(stack, cost, gammas) is stack
+        # One-row kernel runs gathering into an out buffer, as the plan and energy_grid do.
+        rows = [(row[None].copy(), g[None]) for row, g in zip(stack, gammas)]
+        expected = np.concatenate([simulator._phase_diagonal(r, cost, g, np.empty_like(r)) for r, g in rows])
+        for row, g, want in zip(stack, gammas[:, 0], expected):
+            assert np.array_equal(apply_phase_diagonal(row.copy(), cost, g), want)
+        assert simulator._phase_diagonal(stack, cost, gammas, np.empty_like(stack)) is stack
         assert np.array_equal(stack, expected)
 
 
-def test_phase_diagonal_gamma_shape_must_match_stack():
+def test_phase_diagonal_refuses_stacks_and_non_scalar_gammas():
     cost = build_cost_diagonal(EDGE)
-    stack = np.zeros((3, 16), dtype=complex)
-    for gamma in (np.zeros(3), 0.1, np.zeros((2, 1)), np.zeros((1, 3, 1))):
-        with pytest.raises(ValueError, match="gamma shape"):
-            apply_phase_diagonal(stack, cost, gamma)
-    with pytest.raises(ValueError, match="gamma shape"):
-        apply_phase_diagonal(np.zeros(16, dtype=complex), cost, np.zeros(1))
-    with pytest.raises(ValueError, match="state length"):
-        apply_phase_diagonal(np.zeros((3, 4), dtype=complex), cost, np.zeros((3, 1)))
+    # Without the guard, a (B, D) stack would be phased silently, by one gamma or a broadcast gamma column.
+    cases = (((3, 16), np.zeros((3, 1))), ((3, 16), 0.1), ((1, 16), 0.1), ((16,), np.zeros(1)), ((4,), 0.1))
+    for shape, gamma in cases:
+        with pytest.raises(ValueError, match=re.escape(f"scalar gamma expected, got {shape}, {np.shape(gamma)}")):
+            apply_phase_diagonal(np.zeros(shape, dtype=complex), cost, gamma)
 
 
 def reference_run(inst, theta):

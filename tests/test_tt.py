@@ -498,10 +498,13 @@ def ascent_cases():
 def test_ascent_step_matches_full_core_loop_bit_for_bit():
     seen = {"distinct": 0, "repeated": 0, "signed": 0, "d=1": 0, "no steps": 0, "zero rate": 0, "clamped": 0}
     for t, batch, rate, steps in ascent_cases():
-        want = copy_tt(t)
+        want, before = copy_tt(t), copy_tt(t)
         want_diag = full_core_ascent_step(want, batch, rate, steps)
         assert ascent_step(t, batch, rate, steps) == want_diag
         assert [core.tobytes() for core in t.cores] == [core.tobytes() for core in want.cores]
+        # Every gradient term, outer(prefix, suffix) / value, is >= 0 on a positive train: no entry decreases.
+        positive = all((core > 0.0).all() for core in before.cores)
+        assert not positive or all((core >= old).all() for core, old in zip(t.cores, before.cores))
         columns = [set(column) for column in zip(*batch)]
         seen["distinct"] += all(len(c) == len(batch) for c in columns) and len(batch) > 1
         seen["repeated"] += any(len(c) < len(batch) for c in columns)
