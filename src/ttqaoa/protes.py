@@ -105,6 +105,7 @@ def _optimize_batched(
     evaluate receives the batch's uncached indices in first-appearance
     order, cut at the budget, and never an empty list, so the cache, the
     budget edge and the random stream are those of one call per index.
+    ProtesConfig's budget >= batch_size >= 1 sets best_index in iteration 1.
     """
     if dims < 1:
         raise ValueError(f"dimension count must be >= 1, got {dims}")
@@ -144,8 +145,6 @@ def _optimize_batched(
         diagnostics["clamped_values"] += ascent_diag.get("clamped_values", 0)
         records.append(IterationRecord(it, len(cache), best_value))
         batch_means.append(float(values.mean()))
-    if best_index is None:
-        raise ValueError(f"budget {config.budget} allows no full batch of {config.batch_size}")
     return OptimizationTrace(records, best_index, best_value, len(cache), t, diagnostics, batch_means)
 
 

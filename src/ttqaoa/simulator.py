@@ -18,13 +18,14 @@ _color_block drops them, after checking that they hold no mass.
 
 The gates address qubits through one strided view, with no index array.  The
 mixer is one 16x16 matmul per two vertices (apply_rx is its gate-by-gate
-reference), its matrices built for all betas at once, bit for bit Python's
-c ** (q - h) * s ** h: np.float_power calls libm's pow as Python does, where
-np.power's SIMD loop can move a last bit.  Circuits run as (B, D) stacks on
-buffers that their caller owns; rows equal one-row runs bit for bit.  A _Plan
-owns a state and a scratch buffer, grown to the largest batch it has run and
-at most (rows, D), rows = max(1, STACK_AMPLITUDES // D): run_solve keeps one
-for its search, refinement and final state, and run_qaoa builds one per call.
+reference), its matrices built for all betas at once from exponents and
+Hamming gathers made at import, bit for bit Python's c ** (q - h) * s ** h:
+np.float_power calls libm's pow as Python does, where np.power's SIMD loop
+can move a last bit.  Circuits run as (B, D) stacks on buffers that their
+caller owns; rows equal one-row runs bit for bit.  A _Plan owns a state and a
+scratch buffer, grown to the largest batch it has run and at most (rows, D),
+rows = max(1, STACK_AMPLITUDES // D): run_solve keeps one for its search,
+refinement and final state, and run_qaoa builds one per call.
 energy_grid owns a register and two row stacks.  _phase_diagonal gathers the
 phases into the scratch by take's mode="clip" (mode="raise" gathers into a
 fresh copy of out first), _mix passes between the buffers, and _measure takes
@@ -123,6 +124,8 @@ def _check_qubits(state: np.ndarray, *qubits: int) -> int:
 
 # Hamming distance between 4-bit block indices; its top-left 4x4 serves the one-vertex block.
 _HAMMING = np.array([[bin(j ^ k).count("1") for k in range(16)] for j in range(16)])
+# Per mixer block width q: the exponents of cos (q - h) and -i*sin (h) for h = 0..q, and the Hamming gather.
+_BLOCK_TERMS = {q: (q - np.arange(q + 1), np.arange(q + 1), _HAMMING[: 1 << q, : 1 << q]) for q in (2, 4)}
 
 
 def _mixer_blocks(betas: np.ndarray, n: int) -> list[np.ndarray]:
@@ -131,20 +134,19 @@ def _mixer_blocks(betas: np.ndarray, n: int) -> list[np.ndarray]:
     Each is a (*betas.shape, 2**q, 2**q) stack, cos**(q-h) * (-i*sin)**h at Hamming distance h: take, unlike an
     index gather, keeps the beta axes outermost, so every matrix of a stack takes a lone matrix's BLAS path.
     """
-    betas, widths = np.asarray(betas)[..., None], [min(4, 2 * n - low) for low in range(0, 2 * n, 4)]
-    cos, sin, h = np.cos(betas), -1j * np.sin(betas), np.arange(5)
-    terms = {q: np.float_power(cos, q - h[: q + 1]) * np.power(sin, h[: q + 1]) for q in set(widths)}
-    blocks = {q: t.take(_HAMMING[: 1 << q, : 1 << q], axis=-1) for q, t in terms.items()}
+    betas, widths = np.asarray(betas)[..., None], [4] * (n // 2) + [2] * (n % 2)
+    cos, sin, terms = np.cos(betas), -1j * np.sin(betas), {q: _BLOCK_TERMS[q] for q in set(widths)}
+    blocks = {q: (np.float_power(cos, c) * np.power(sin, s)).take(h, axis=-1) for q, (c, s, h) in terms.items()}
     return [blocks[q] for q in widths]
 
 
 def _mix(state: np.ndarray, scratch: np.ndarray, matrices: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Mix a (B, D) stack, one matmul per (B, 1, 2**q, 2**q) block stack lifting its bits to the top: (mixed, free)."""
-    src, dst = state, scratch
+    src, dst, rows = state, scratch, len(state)
     for m in matrices:
         size = m.shape[-1]
-        blocks = src.reshape(len(src), -1, 4**n // size, size).swapaxes(2, 3)
-        np.matmul(m, blocks, out=dst.reshape(len(src), -1, size, 4**n // size))
+        rest = 4**n // size
+        np.matmul(m, src.reshape(rows, -1, rest, size).swapaxes(2, 3), out=dst.reshape(rows, -1, size, rest))
         src, dst = dst, src
     return src, dst
 
@@ -306,12 +308,12 @@ class _Plan:
 
         Returns the rows, a view of a plan buffer until the next run, and each row's <cost> given a cost.
         """
-        n, size = self.inst.graph.n, self.state.shape[1]
-        if len(self.state) < len(thetas):
-            self.state, self.scratch = (np.empty((len(thetas), size), dtype=complex) for _ in range(2))
-        state, scratch = self.state[: len(thetas)], self.scratch[: len(thetas)]
+        n, (count, width) = self.inst.graph.n, thetas.shape
+        if len(self.state) < count:
+            self.state, self.scratch = (np.empty((count, self.state.shape[1]), dtype=complex) for _ in range(2))
+        state, scratch = self.state[:count], self.scratch[:count]
         state[:, : 4**n], state[:, 4**n :] = 2.0**-n, 0.0
-        gammas, betas = (angles.T[..., None] for angles in np.split(thetas, 2, axis=1))
+        gammas, betas = thetas[:, : width // 2].T[..., None], thetas[:, width // 2 :].T[..., None]
         for gamma, *blocks in zip(gammas, *_mixer_blocks(betas, n)):
             _phase_layer(self.inst, state, gamma, scratch)
             state, scratch = _mix(state, scratch, blocks, n)
@@ -338,7 +340,7 @@ def _phase_layer(inst: QaoaInstance, rows: np.ndarray, gammas: np.ndarray, out: 
 def _measure(rows: np.ndarray, cost: CostDiagonal | None, scratch: np.ndarray) -> list[float]:
     """Raise unless every row of a (B, D) stack kept unit norm (NaN fails too); given a cost, each row's own <cost>."""
     probs = np.abs(rows, out=scratch.view(float)[:, : rows.shape[1]])
-    for norm in np.sqrt(np.square(probs, out=probs).sum(axis=1)).tolist():
+    for norm in np.sqrt(np.add.reduce(np.square(probs, out=probs), axis=1)).tolist():
         if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError(f"statevector norm drifted to {norm}")
     return [] if cost is None else [_energy(row, row_probs, cost) for row, row_probs in zip(rows, probs)]

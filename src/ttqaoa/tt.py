@@ -17,18 +17,20 @@ left interfaces and one uniform per draw out of one rng.random((K, d)) block.
 Generator.choice(n, p=...) consumes one double per call and maps it through
 cumsum(p) / cumsum(p)[-1] and a right-sided search.  The kernel repeats that
 arithmetic, so a batch equals K sequential choice-based draws, draw for draw.
-The squared weights and the suffix Grams are two-operand products: numpy
-runs a three-operand einsum without BLAS, about ten times slower at R=5,
-N=100.
+Every contraction is a two-operand BLAS product, as an einsum runs without
+BLAS: the interfaces times the core viewed as R x (N R'), the squared
+weights' rank sum as a product with ones, and the suffix Grams.  The tests
+check the draws against per-draw einsum references up to the solve's shapes.
 
 One gradient kernel serves log_value_grad and ascent_step: from every
 index's slices of every core it builds the prefix and suffix interfaces with
 batched matrix products, and each index's outer products over its value.
-ascent_step gathers each core's distinct batch slices once per call and runs
-every round on that compact copy: a round takes the rows' slices from it
-and scatter-adds the terms back, so repeated indices accumulate in batch
-order.  The slices are written back once, and the cores end bit-identical
-to updating whole cores every round.
+ascent_step checks the batch as one array, copies its slices once per call
+and runs every round on that copy, where one row owns each slice that
+several rows share: a round takes the rows' slices from it and scatter-adds
+the terms back in batch order (np.bincount adds in turn, as np.add.at does).
+The slices are written back once, and the cores end bit-identical to
+updating whole cores every round.
 
 The search's trains stay positive: random_tt starts entries at INIT_FLOOR or
 above and a positive train's gradient terms are >= 0, so ascent never lowers
@@ -150,28 +152,27 @@ def _draw(
         raise ValueError(f"sample count must be >= 1, got {count}")
     uniforms = rng.random((count, t.d))
     draws = np.empty((count, t.d), dtype=np.intp)
-    phi = np.ones((count, 1))
+    phi, rows = np.ones((count, 1)), np.arange(count)
     for k, core in enumerate(t.cores):
-        vecs = np.einsum("kr,rns->kns", phi, core)
-        if squared:
-            weights = ((vecs @ suffix[k + 1]) * vecs).sum(axis=2)
-        else:
-            weights = vecs @ suffix[k + 1]
-        weights = np.clip(weights, 0.0, None)
+        left, nodes, right = core.shape
+        vecs = (phi @ core.reshape(left, nodes * right)).reshape(count * nodes, right)
+        weights = ((vecs @ suffix[k + 1]) * vecs) @ np.ones(right) if squared else vecs @ suffix[k + 1]
+        weights = np.maximum(weights, 0.0, out=weights).reshape(count, nodes)
         mass = weights.sum(axis=1)
-        if not np.isfinite(mass).all():
+        if not mass.max() < math.inf:  # NaN fails too
             raise ValueError(f"non-finite conditional weight in axis {k}")
-        vanished = mass <= 0.0
-        weights[vanished] = 1.0
-        mass[vanished] = weights.shape[1]
-        if diagnostics is not None and vanished.any():
-            diagnostics["uniform_fallbacks"] = diagnostics.get("uniform_fallbacks", 0) + int(vanished.sum())
+        if not mass.min() > 0.0:
+            vanished = mass <= 0.0
+            weights[vanished] = 1.0
+            mass[vanished] = nodes
+            if diagnostics is not None:
+                diagnostics["uniform_fallbacks"] = diagnostics.get("uniform_fallbacks", 0) + int(vanished.sum())
         cdf = np.cumsum(weights / mass[:, None], axis=1)
         cdf /= cdf[:, -1:]
         draws[:, k] = (cdf <= uniforms[:, k, None]).sum(axis=1)
-        phi = vecs[np.arange(count), draws[:, k]]
+        phi = vecs.reshape(count, nodes, right)[rows, draws[:, k]]
         peak = np.abs(phi).max(axis=1, keepdims=True)
-        phi = phi / np.where(peak > 0.0, peak, 1.0)
+        phi /= np.where(peak > 0.0, peak, 1.0)
     return [tuple(row) for row in draws.tolist()]
 
 
@@ -205,8 +206,8 @@ def suffix_grams(t: TTDistribution) -> list[np.ndarray]:
     away from float under/overflow.
     """
     grams = [np.ones((1, 1))] * (t.d + 1)
-    for k in range(t.d - 1, -1, -1):
-        m = np.tensordot(t.cores[k] @ grams[k + 1], t.cores[k], axes=([1, 2], [1, 2]))
+    for k, core in reversed(list(enumerate(t.cores))):
+        m = np.dot((core @ grams[k + 1]).reshape(len(core), -1), core.reshape(len(core), -1).T)
         peak = np.max(np.abs(m))
         if peak > 0.0:
             m = m / peak
@@ -320,37 +321,38 @@ def ascent_step(
         raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
     if not isinstance(step_count, (int, np.integer)) or step_count < 0:
         raise ValueError(f"step_count must be an integer >= 0, got {step_count!r}")
-    rows = [_check_index(t, i) for i in batch]
-    # Only the batch's slices change, so the rounds run on a copy of them.  compact holds each core's
-    # distinct slices (first-appearance order, found with a dict: np.unique's first call raises
-    # peak RSS by about 0.5 MB, numpy 2.4), one core after another.  slot maps every entry of the
-    # kernel's gathered rows to its place in compact; the terms scatter-add back through it, so a
-    # slice that several rows share sums their terms in batch order.
-    kernel = _GradKernel(t, len(rows))
-    columns = [list(column) for column in zip(*rows)]
-    parts, slot, offset = [], [], 0
-    for core, column in zip(t.cores, columns):
-        first: dict[int, int] = {}
-        position = np.array([first.setdefault(i, len(first)) for i in column])
-        size = core.shape[0] * core.shape[2]
-        parts.append(core[:, list(first), :].transpose(1, 0, 2).ravel())
-        slot.append(offset + size * position[:, None] + np.arange(size))
-        offset += size * len(first)
-    compact, slot = np.concatenate(parts), np.concatenate(slot, axis=1)
+    try:  # checked as one array; a batch it refuses gets _check_index's error for its first bad index
+        idx = np.asarray(batch)
+    except ValueError:  # ragged rows
+        idx = np.empty(0)
+    if idx.dtype.kind not in "iu" or idx.shape != (len(batch), t.d) or not ((idx >= 0) & (idx < t.shape)).all():
+        idx = np.array([_check_index(t, i) for i in batch])
+    # Only the batch's slices change, so the rounds run on a copy of them: compact starts as the
+    # kernel's gathered rows, and of the rows with one node on axis k, one (its owner, from a table
+    # over every axis's nodes) holds that slice of core k for all.  slot maps each gathered entry to
+    # its place there; the terms scatter-add back through it, so a shared slice sums them in batch order.
+    kernel = _GradKernel(t, len(idx))
+    for s, core, column in zip(kernel.slices, t.cores, idx.T):
+        s[...] = core[:, column, :].transpose(1, 0, 2)
+    nodes = idx + np.cumsum((0, *t.shape[:-1]))
+    owner = np.empty(nodes.max() + 1, dtype=np.intp)
+    owner[nodes] = np.arange(len(idx))[:, None]
+    width, sizes = kernel.gathered.shape[1], [s.shape[1] * s.shape[2] for s in kernel.slices]
+    compact, slot = kernel.gathered.ravel().copy(), np.repeat(owner[nodes] * width, sizes, axis=1) + np.arange(width)
     diagnostics = {"clamped_values": 0}
     for _ in range(step_count):
         np.take(compact, slot, out=kernel.gathered, mode="clip")  # "clip" writes out directly; no copy
         values = kernel.run()
         diagnostics["clamped_values"] += int(np.count_nonzero(values <= 0.0))
-        grad = np.zeros_like(compact)
-        np.add.at(grad, slot, kernel.terms)
+        # bincount adds each weight in turn onto zeros, as np.add.at does, at a fraction of its cost.
+        grad = np.bincount(slot.ravel(), kernel.terms.ravel(), compact.size)
         grad *= learning_rate
         compact += grad
     # A full-core update adds learning_rate * 0.0 to every untouched entry, which leaves it as it is
     # for a finite rate (bar a -0.0 entry, which ascent never produces): writing back only the
     # batch's slices ends bit-identical to one.
     np.take(compact, slot, out=kernel.gathered, mode="clip")
-    for core, column, s in zip(t.cores, columns, kernel.slices):
+    for core, column, s in zip(t.cores, idx.T, kernel.slices):
         core[:, column, :] = s.transpose(1, 0, 2)
     return diagnostics
 

@@ -155,6 +155,18 @@ def test_optimize_budget_edge_partial_batch():
     assert trace.total_evals == calls["n"]
 
 
+def test_smallest_config_sets_the_best_index_in_one_iteration():
+    # budget = batch size = elites = 1 is the smallest config ProtesConfig accepts: its first and only
+    # iteration scores one fresh index, so the loop always ends with a best index.
+    fn, calls = counted(quadratic)
+    trace = optimize(fn, 3, ProtesConfig(batch_size=1, elite_count=1, budget=1, nodes_per_dim=4, seed=2))
+    assert calls["n"] == trace.total_evals == len(trace.records) == 1
+    assert trace.best_value == quadratic(trace.best_index) == trace.records[0].best_value
+    assert len(trace.best_index) == 3 and all(0 <= i < 4 for i in trace.best_index)
+    with pytest.raises(ValueError, match="budget 0 below one batch of 1"):
+        ProtesConfig(batch_size=1, elite_count=1, budget=0)
+
+
 def test_optimize_deterministic():
     cfg = ProtesConfig(budget=200, seed=5, **BENCH)
     a = optimize(quadratic, 6, cfg)

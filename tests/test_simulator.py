@@ -489,6 +489,22 @@ def test_stacked_energies_equal_one_circuit_per_row(n):
             assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
 
 
+@pytest.mark.parametrize("graph", [G4, random_complete_graph(4, 4)], ids=["g4", "k4-weighted"])
+def test_refinement_circuit_equals_reference_bit_for_bit(graph):
+    # A default solve runs p=4 at n=4: one row per refinement call and 16-row search stacks, on grid
+    # angles (node 0 is angle 0) and off them.
+    inst = make_instance(graph, 4)
+    rng = np.random.default_rng(49)
+    plan = _Plan(inst)
+    for count in (1, 16, 17):
+        for thetas in (rng.uniform(0.0, 2 * math.pi, (count, 8)), TWO_PI * rng.integers(0, 100, (count, 8)) / 100):
+            assert_energies_match_reference(inst, thetas)
+            rows, _ = plan.run(thetas[:16])
+            for row, t in zip(rows, thetas):
+                want = reference_run(inst, ParameterVector.from_flat(t))
+                assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+
 def test_stacked_energies_gate_backend_equal_reference():
     rng = np.random.default_rng(47)
     # K3's 256-amplitude gate register stacks 16 rows, G4's 1,024 stack 4.

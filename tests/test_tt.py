@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,32 @@ def test_batched_draws_match_sequential_reference():
     assert min(fallbacks.values()) > 0
 
 
+@pytest.mark.parametrize("d, n_nodes, rank, count", [(8, 100, 5, 20), (6, 10, 5, 30)], ids=["solve", "criterion-6"])
+def test_draws_match_reference_at_benchmark_shapes(d, n_nodes, rank, count):
+    # random_shape_tts stays below the sizes where the interface and weight products change BLAS kernels:
+    # draw at the shapes of a default solve and of the criterion-6 search too.
+    rng = np.random.default_rng(n_nodes)
+    fallbacks = {False: 0, True: 0}
+    for case in range(3):
+        positive = random_tt(d, n_nodes, rank, rng)
+        trains = [positive, TTDistribution([core**8 for core in positive.cores]), signed_tt(d, n_nodes, rank, case)]
+        # Core 1 with each node's slice followed by its negation sums to exactly zero over its nodes, so the
+        # linear scheme's first conditional vanishes; a zero last core makes every conditional vanish.
+        half = rng.standard_normal((rank, n_nodes // 2, rank))
+        cancelling = np.stack([half, -half], axis=2).reshape(rank, n_nodes, rank)
+        trains.append(TTDistribution([positive.cores[0], cancelling, *positive.cores[2:]]))
+        trains.append(TTDistribution([*positive.cores[:-1], np.zeros_like(positive.cores[-1])]))
+        for kind, t in enumerate(trains):
+            for squared, batch_fn in ((False, sample_batch), (True, sample_squared_batch)):
+                seed = [case, kind, squared]
+                want, want_diag = ref_batch(t, count, np.random.default_rng(seed), squared)
+                got, got_diag = batch_fn(t, count, np.random.default_rng(seed))
+                assert got == want
+                assert got_diag.get("uniform_fallbacks", 0) == want_diag.get("uniform_fallbacks", 0)
+                fallbacks[squared] += want_diag.get("uniform_fallbacks", 0)
+    assert min(fallbacks.values()) > 0
+
+
 def ref_suffix_grams(t):
     """The three-operand einsum form of suffix_grams, kept as its reference."""
     grams = [np.ones((1, 1))] * (t.d + 1)
@@ -614,6 +641,22 @@ def test_ascent_step_argument_guards():
     for batch, axis in (([(0, 0), (0.5, 2.99)], 0), ([(1, 2.99)], 1)):
         with pytest.raises(ValueError, match=f"axis {axis}"):
             ascent_step(t, batch, 0.01, 1)
+
+
+def test_ascent_step_names_the_first_bad_index_of_a_later_row():
+    # The batch is checked as one array; a bad entry still gets the per-index message naming it and its axis.
+    t = random_tt(2, 3, 2, np.random.default_rng(18))
+    before = [core.tobytes() for core in t.cores]
+    cases = (
+        ([(0, 1), (1, 2), (2, 1.5)], "index 1.5 in axis 1 is not an integer"),
+        ([(0, 1), (np.int64(1), 2), (3, 0)], "index 3 out of range [0, 3) in axis 0"),
+        ([(0, 1), (2, 2), (1, -1)], "index -1 out of range [0, 3) in axis 1"),
+        ([(0, 1), (2, 2), (1, 0, 2)], "multi-index length 3 does not match dimension 2"),
+    )
+    for batch, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ascent_step(t, batch, 0.05, 1)
+    assert [core.tobytes() for core in t.cores] == before
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
