@@ -1,18 +1,19 @@
 """Derivative-free local refinement of periodic circuit angles.
 
-A Nelder-Mead simplex search with the standard coefficients (reflection 1,
-expansion 2, contraction 0.5, shrink 0.5) over one (d+1, d) array of points
-and one (d+1,) array of values.  Every candidate is wrapped into [0, 2*pi)
-per axis before evaluation: the search runs on the torus, the simplex in
-unwrapped coordinates.  The evaluation budget is a hard cap checked before
-each objective call, and the best point ever evaluated is returned, so the
-result can never be worse than the starting point.
+A Nelder-Mead simplex (reflection 1, expansion 2, contraction 0.5, shrink
+0.5) over one (d+1, d) array of points and one (d+1,) array of values,
+written as an ask/tell stepper: `_nelder_mead` yields each point it wants
+evaluated, unwrapped, and is sent back its value.  `refine` is the one
+driver: it wraps each point into [0, 2*pi) per axis before the objective
+call (the search runs on the torus, the simplex in unwrapped coordinates),
+checks the evaluation budget as a hard cap before each call, and keeps the
+best point ever evaluated, so the result is never worse than the start.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -46,8 +47,56 @@ class RefineResult:
     evals: int
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _nelder_mead(start: np.ndarray, config: RefineConfig) -> Generator[np.ndarray, float, None]:
+    """Yields each point to evaluate, unwrapped, and is sent its value; returns once the spread is below tol.
+
+    A geometrically collapsed simplex that has not converged in value is
+    rebuilt around the incumbent with directions from the seeded rng.
+    """
+    dim = start.size
+    rng = np.random.default_rng(config.seed)
+
+    def build_simplex(center: np.ndarray, directions: np.ndarray):
+        points, values = np.vstack((center, center + config.initial_step * directions)), np.empty(dim + 1)
+        for i in range(dim + 1):
+            values[i] = yield points[i]
+        return points, values
+
+    points, values = yield from build_simplex(start, np.eye(dim))
+    while True:
+        order = np.argsort(values, kind="stable")
+        points, values = points[order], values[order]
+        if values[-1] - values[0] < config.tol:
+            return
+        if np.max(np.abs(points[1:] - points[0])) < DEGENERATE_EXTENT:
+            points, values = yield from build_simplex(points[0], rng.standard_normal((dim, dim)))
+            continue
+        centroid = points[:-1].mean(axis=0)
+        step = centroid - points[-1]
+        reflected = centroid + step
+        f_reflected = yield reflected
+        if f_reflected < values[-2]:
+            points[-1], values[-1] = reflected, f_reflected
+            if f_reflected < values[0]:
+                expanded = centroid + 2.0 * step
+                f_expanded = yield expanded
+                if f_expanded < f_reflected:
+                    points[-1], values[-1] = expanded, f_expanded
+        else:
+            if f_reflected < values[-1]:
+                contracted = centroid + 0.5 * step
+                f_contracted = yield contracted
+                accept = f_contracted <= f_reflected
+            else:
+                contracted = centroid - 0.5 * step
+                f_contracted = yield contracted
+                accept = f_contracted < values[-1]
+            if accept:
+                points[-1], values[-1] = contracted, f_contracted
+            else:
+                points[1:] = points[0] + 0.5 * (points[1:] - points[0])
+                for i in range(1, dim + 1):
+                    values[i] = yield points[i]
 
 
 def refine(
@@ -58,74 +107,26 @@ def refine(
     """Simplex descent from start; returns the best wrapped point found.
 
     Stops when the simplex value spread drops below tol or the budget runs
-    out.  A geometrically collapsed simplex that has not converged in value
-    is rebuilt around the incumbent with seeded random directions, keeping
-    the whole run deterministic for fixed (start, config).
+    out.  The run is deterministic for fixed (start, config).
     """
     start = np.asarray(start, dtype=float)
-    dim = start.size
-    if dim < 1:
+    if start.size < 1:
         raise ValueError("start point must have at least one coordinate")
-    if config.max_evals < dim + 2:
-        raise ValueError(f"budget {config.max_evals} below the {dim + 2} evals a simplex needs")
-    rng = np.random.default_rng(config.seed)
-    evals = 0
-    best_theta = wrap_angles(start)
-    best_value = math.inf
-
-    def call(x: np.ndarray) -> float:
-        nonlocal evals, best_theta, best_value
-        if evals >= config.max_evals:
-            raise _BudgetExhausted
-        wrapped = wrap_angles(x)
-        value = float(objective(wrapped))
+    if not np.isfinite(start).all():
+        raise ValueError(f"start must be finite, got {start}")
+    if config.max_evals < start.size + 2:
+        raise ValueError(f"budget {config.max_evals} below the {start.size + 2} evals a simplex needs")
+    steps, value = _nelder_mead(start, config), None
+    evals, best_theta, best_value = 0, wrap_angles(start), math.inf
+    while evals < config.max_evals:
+        try:
+            theta = wrap_angles(steps.send(value))
+        except StopIteration:
+            break
+        value = float(objective(theta))
         evals += 1
         if not math.isfinite(value):
-            raise RuntimeError(f"objective returned non-finite value {value} at {wrapped}")
+            raise RuntimeError(f"objective returned non-finite value {value} at {theta}")
         if value < best_value:
-            best_value = value
-            best_theta = wrapped
-        return value
-
-    def build_simplex(center: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        points = np.vstack((center, center + directions))
-        return points, np.array([call(x) for x in points])
-
-    try:
-        points, values = build_simplex(start, config.initial_step * np.eye(dim))
-        while True:
-            order = np.argsort(values, kind="stable")
-            points, values = points[order], values[order]
-            if values[-1] - values[0] < config.tol:
-                break
-            if np.max(np.abs(points[1:] - points[0])) < DEGENERATE_EXTENT:
-                points, values = build_simplex(points[0], config.initial_step * rng.standard_normal((dim, dim)))
-                continue
-            centroid = points[:-1].mean(axis=0)
-            step = centroid - points[-1]
-            reflected = centroid + step
-            f_reflected = call(reflected)
-            if f_reflected < values[-2]:
-                points[-1], values[-1] = reflected, f_reflected
-                if f_reflected < values[0]:
-                    expanded = centroid + 2.0 * step
-                    f_expanded = call(expanded)
-                    if f_expanded < f_reflected:
-                        points[-1], values[-1] = expanded, f_expanded
-            else:
-                if f_reflected < values[-1]:
-                    contracted = centroid + 0.5 * step
-                    f_contracted = call(contracted)
-                    accept = f_contracted <= f_reflected
-                else:
-                    contracted = centroid - 0.5 * step
-                    f_contracted = call(contracted)
-                    accept = f_contracted < values[-1]
-                if accept:
-                    points[-1], values[-1] = contracted, f_contracted
-                else:
-                    points[1:] = points[0] + 0.5 * (points[1:] - points[0])
-                    values[1:] = [call(x) for x in points[1:]]
-    except _BudgetExhausted:
-        pass
+            best_theta, best_value = theta, value
     return RefineResult(best_theta, best_value, evals)

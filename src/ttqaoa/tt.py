@@ -315,7 +315,7 @@ def ascent_step(
     such a train's steps grow about 1e12-fold and can overflow within a few
     rounds.
     """
-    if not batch:
+    if len(batch) == 0:
         raise ValueError("ascent batch must be non-empty")
     if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
         raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")

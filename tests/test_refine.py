@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ttqaoa.qaoa_model import TWO_PI, wrap_angles
-from ttqaoa.refine import DEGENERATE_EXTENT, RefineConfig, refine
+from ttqaoa.refine import DEGENERATE_EXTENT, RefineConfig, _nelder_mead, refine
 
 CENTER = np.linspace(1.0, 2.4, 8)
 
@@ -43,6 +44,25 @@ def test_start_dimension_and_budget_guards():
         refine(quadratic, [], RefineConfig())
     with pytest.raises(ValueError):
         refine(quadratic, np.zeros(8), RefineConfig(max_evals=9))
+
+    def never(theta):
+        raise AssertionError("objective called")
+
+    # A non-finite start is refused before the first evaluation.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="start"):
+            refine(never, [bad, 1.0], RefineConfig())
+
+
+def test_converged_simplex_stops_without_an_extra_evaluation():
+    # A constant objective converges on the first sort, after the d + 1 points of the initial simplex.
+    for dim in (1, 2, 8):
+        calls = []
+        start = np.linspace(-1.0, 7.0, dim)
+        result = refine(lambda theta: calls.append(theta) or 3.5, start, RefineConfig())
+        assert len(calls) == result.evals == dim + 1
+        assert result.value == 3.5
+        assert np.array_equal(result.theta, wrap_angles(start))
 
 
 def test_converges_near_start():
@@ -257,3 +277,23 @@ def test_array_simplex_matches_list_reference():
         assert np.array_equal(result.theta.view(np.uint64), theta.view(np.uint64))
         assert result.value == value
     assert min(hits.values()) >= 1, hits
+
+
+def test_stepper_driven_by_hand_matches_list_reference():
+    # No refine: the test wraps, counts and sends values itself, on a case that shrinks and rebuilds.
+    start, config = np.array([0.4, 1.1]), RefineConfig(max_evals=1000, tol=1e-30)
+    expected, hits = [], Counter()
+
+    def recording(theta):
+        expected.append(theta.view(np.uint64).copy())
+        return noise(theta)
+
+    reference_refine(recording, start, config, hits)
+    assert hits["shrink"] >= 1 and hits["rebuild"] >= 1
+    steps, value, seen = _nelder_mead(start, config), None, []
+    for _ in range(config.max_evals):
+        theta = wrap_angles(steps.send(value))
+        seen.append(theta.view(np.uint64).copy())
+        value = noise(theta)
+    assert len(seen) == len(expected) == config.max_evals
+    assert all(np.array_equal(a, b) for a, b in zip(seen, expected))

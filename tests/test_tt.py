@@ -525,10 +525,13 @@ def ascent_cases():
 def test_ascent_step_matches_full_core_loop_bit_for_bit():
     seen = {"distinct": 0, "repeated": 0, "signed": 0, "d=1": 0, "no steps": 0, "zero rate": 0, "clamped": 0}
     for t, batch, rate, steps in ascent_cases():
-        want, before = copy_tt(t), copy_tt(t)
+        want, before, as_array = copy_tt(t), copy_tt(t), copy_tt(t)
         want_diag = full_core_ascent_step(want, batch, rate, steps)
         assert ascent_step(t, batch, rate, steps) == want_diag
         assert [core.tobytes() for core in t.cores] == [core.tobytes() for core in want.cores]
+        # The same rows as one (B, d) integer array step the same.
+        assert ascent_step(as_array, np.array(batch), rate, steps) == want_diag
+        assert [core.tobytes() for core in as_array.cores] == [core.tobytes() for core in want.cores]
         # Every gradient term, outer(prefix, suffix) / value, is >= 0 on a positive train: no entry decreases.
         positive = all((core > 0.0).all() for core in before.cores)
         assert not positive or all((core >= old).all() for core, old in zip(t.cores, before.cores))
@@ -626,8 +629,9 @@ def test_ascent_step_clamps_nonpositive_values():
 def test_ascent_step_argument_guards():
     t = random_tt(2, 3, 2, np.random.default_rng(18))
     before = [core.tobytes() for core in t.cores]
-    with pytest.raises(ValueError):
-        ascent_step(t, [], 0.1, 1)
+    for empty in ([], np.empty((0, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="ascent batch must be non-empty"):
+            ascent_step(t, empty, 0.1, 1)
     # A non-finite rate used to fill the cores with nan or inf.
     for rate in (-0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="learning_rate"):
