@@ -25,7 +25,7 @@ from .graph import Graph, approximation_ratio, brute_force_max_cut, cut_value, l
 # optimize and expectation are not called here but stay cli attributes: perfbench/tracing.py wraps them by name.
 from .protes import OptimizationTrace, ProtesConfig, _optimize_batched, optimize, trace_to_csv
 from .qaoa_model import check_gamma_period, cut_from_energy, decode_bitstring, format_bitstring, index_to_angles
-from .refine import RefineConfig, RefineResult, refine
+from .refine import RefineConfig, RefineResult, check_simplex_budget, refine
 from .simulator import (
     Backend,
     ParameterVector,
@@ -114,7 +114,7 @@ def _graph_summary(g: Graph) -> dict[str, float]:
 
 
 def _energy_objective(plan: _Plan) -> Callable[[np.ndarray], float]:
-    return lambda theta: float(_energies(plan, theta[None])[0])
+    return lambda theta: plan.run(theta[None], plan.inst.cost)[1][0]
 
 
 def _count_rows(g: Graph, counts: dict[int, int], limit: int) -> list[dict[str, object]]:
@@ -146,6 +146,7 @@ def run_solve(
     """Full pipeline on one graph; returns the report plus stage results."""
     if shots < 1:  # before the search, which can take hours; sample_counts checks again
         raise ValueError(f"shots must be >= 1, got {shots}")
+    check_simplex_budget(refine_cfg.max_evals, 2 * depth)  # likewise; refine checks again
     t0 = time.perf_counter()
     colors, optimal = brute_force_max_cut(g, 3)
     if optimal <= 0.0:

@@ -99,6 +99,12 @@ def _nelder_mead(start: np.ndarray, config: RefineConfig) -> Generator[np.ndarra
                     values[i] = yield points[i]
 
 
+def check_simplex_budget(max_evals: int, dim: int) -> None:
+    """Raise unless max_evals covers a simplex over dim coordinates and one step: dim + 2 evaluations."""
+    if max_evals < dim + 2:
+        raise ValueError(f"budget {max_evals} below the {dim + 2} evals a simplex needs")
+
+
 def refine(
     objective: Callable[[np.ndarray], float],
     start: Sequence[float],
@@ -114,8 +120,7 @@ def refine(
         raise ValueError("start point must have at least one coordinate")
     if not np.isfinite(start).all():
         raise ValueError(f"start must be finite, got {start}")
-    if config.max_evals < start.size + 2:
-        raise ValueError(f"budget {config.max_evals} below the {start.size + 2} evals a simplex needs")
+    check_simplex_budget(config.max_evals, start.size)
     steps, value = _nelder_mead(start, config), None
     evals, best_theta, best_value = 0, wrap_angles(start), math.inf
     while evals < config.max_evals:

@@ -20,17 +20,18 @@ The gates address qubits through one strided view, with no index array.  The
 mixer is one 16x16 matmul per two vertices (apply_rx is its gate-by-gate
 reference), its matrices built for all betas at once from exponents and
 Hamming gathers made at import, bit for bit Python's c ** (q - h) * s ** h:
-np.float_power calls libm's pow as Python does, where np.power's SIMD loop
-can move a last bit.  Circuits run as (B, D) stacks on buffers that their
-caller owns; rows equal one-row runs bit for bit.  A _Plan owns a state and a
-scratch buffer, grown to the largest batch it has run and at most (rows, D),
-rows = max(1, STACK_AMPLITUDES // D): run_solve keeps one for its search,
-refinement and final state, and run_qaoa builds one per call.
-energy_grid owns a register and two row stacks.  _phase_diagonal gathers the
-phases into the scratch by take's mode="clip" (mode="raise" gathers into a
-fresh copy of out first), _mix passes between the buffers, and _measure takes
-|amp|**2 in the free one.  apply_mixer and apply_phase_diagonal run these
-kernels on one statevector.  make_instance checks MAX_QUBITS.
+np.float_power calls libm's pow as Python does, where np.power's SIMD loop can
+move a last bit.  Circuits run as (B, D) stacks on buffers that their caller
+owns; rows equal one-row runs bit for bit.  A _Plan (one per solve, and per
+run_qaoa call) owns a state and a scratch buffer of at most (rows, D), rows =
+max(1, STACK_AMPLITUDES // D), and per row count its mixer views, dropped when
+the buffers grow.  One exp per D // L layers gives the DIAGONAL phases, so the
+table stays within a state; the first layer gathers 2**-n times them into the
+state, bit for bit the fill and multiply (an exact scaling).  energy_grid owns
+a register and two row stacks.  take's mode="clip" gathers phases
+(mode="raise" gathers into a fresh copy of out first), _mix passes between the
+buffers, _measure takes |amp|**2 in the free one; apply_mixer and
+apply_phase_diagonal run these kernels on one statevector.
 """
 from __future__ import annotations
 
@@ -140,15 +141,21 @@ def _mixer_blocks(betas: np.ndarray, n: int) -> list[np.ndarray]:
     return [blocks[q] for q in widths]
 
 
-def _mix(state: np.ndarray, scratch: np.ndarray, matrices: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mix a (B, D) stack, one matmul per (B, 1, 2**q, 2**q) block stack lifting its bits to the top: (mixed, free)."""
-    src, dst, rows = state, scratch, len(state)
+def _mix_passes(state: np.ndarray, scratch: np.ndarray, matrices: list, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per block of a mixer on a (B, D) stack that starts in state, the (src, dst) views of its matmul."""
+    rows, passes = len(state), []
     for m in matrices:
-        size = m.shape[-1]
-        rest = 4**n // size
-        np.matmul(m, src.reshape(rows, -1, rest, size).swapaxes(2, 3), out=dst.reshape(rows, -1, size, rest))
-        src, dst = dst, src
-    return src, dst
+        size, rest = m.shape[-1], 4**n // m.shape[-1]
+        passes.append((state.reshape(rows, -1, rest, size).swapaxes(2, 3), scratch.reshape(rows, -1, size, rest)))
+        state, scratch = scratch, state
+    return passes
+
+
+def _mix(state: np.ndarray, scratch: np.ndarray, matrices: list, n: int, passes: list | None = None) -> tuple:
+    """Mix a (B, D) stack, one matmul per (B, 1, 2**q, 2**q) block stack lifting its bits to the top: (mixed, free)."""
+    for m, (src, dst) in zip(matrices, passes or _mix_passes(state, scratch, matrices, n)):
+        np.matmul(m, src, out=dst)
+    return (scratch, state) if len(matrices) % 2 else (state, scratch)
 
 
 def _view(state: np.ndarray, q: int, bits: dict[int, int]) -> np.ndarray:
@@ -233,8 +240,7 @@ def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) ->
 
 def _phase_diagonal(rows: np.ndarray, cost: CostDiagonal, gammas, out: np.ndarray | None = None) -> np.ndarray:
     """rows *= exp(-0.5j * gammas * levels), gathered per entry into out if given (see the module docstring)."""
-    levels, inverse = cost.levels
-    rows *= np.exp(-0.5j * gammas * levels).take(inverse, axis=-1, out=out, mode="clip")
+    rows *= np.exp(-0.5j * gammas * cost.levels[0]).take(cost.levels[1], axis=-1, out=out, mode="clip")
     return rows
 
 
@@ -302,21 +308,27 @@ class _Plan:
             inst.cost.levels  # built now, so the level sort's temporaries are freed before any buffer exists
         self.state = self.scratch = np.empty((0, 1 << _register_qubits(inst.graph.n, inst.backend)), dtype=complex)
         self.rows = max(1, STACK_AMPLITUDES // self.state.shape[1])
+        self.views: dict[int, tuple] = {}  # per row count: the buffers' leading rows and, by id, their _mix_passes
 
     def run(self, thetas: np.ndarray, cost: CostDiagonal | None = None) -> tuple[np.ndarray, list[float]]:
         """The p layers and _measure on one register per row of (B, 2p) flat angles, B <= rows.
 
         Returns the rows, a view of a plan buffer until the next run, and each row's <cost> given a cost.
         """
-        n, (count, width) = self.inst.graph.n, thetas.shape
+        inst, n, p = self.inst, self.inst.graph.n, self.inst.depth
+        if thetas.ndim != 2 or thetas.shape[1] != 2 * p:
+            raise ValueError(f"angle array shape {thetas.shape} does not match (B, {2 * p})")
+        count, blocks = len(thetas), _mixer_blocks(thetas[:, p:].T[..., None], n)
         if len(self.state) < count:
             self.state, self.scratch = (np.empty((count, self.state.shape[1]), dtype=complex) for _ in range(2))
-        state, scratch = self.state[:count], self.scratch[:count]
-        state[:, : 4**n], state[:, 4**n :] = 2.0**-n, 0.0
-        gammas, betas = thetas[:, : width // 2].T[..., None], thetas[:, width // 2 :].T[..., None]
-        for gamma, *blocks in zip(gammas, *_mixer_blocks(betas, n)):
-            _phase_layer(self.inst, state, gamma, scratch)
-            state, scratch = _mix(state, scratch, blocks, n)
+            self.views = {}  # views into the old buffers would keep them alive
+        if count not in self.views:
+            pair = self.state[:count], self.scratch[:count]
+            self.views[count] = pair, {id(a): _mix_passes(a, b, blocks, n) for a, b in (pair, pair[::-1])}
+        (state, scratch), passes = self.views[count]
+        for layer, (phases, *matrices) in enumerate(zip(_layer_phases(inst, thetas[:, :p].T[..., None]), *blocks)):
+            _phase_layer(inst, state, phases, scratch, uniform=not layer)
+            state, scratch = _mix(state, scratch, matrices, n, passes[id(state)])
         return state, _measure(state, cost, scratch)
 
 
@@ -328,13 +340,31 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
     return state
 
 
-def _phase_layer(inst: QaoaInstance, rows: np.ndarray, gammas: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Phase layers on a (B, D) stack in place, gammas a (B, 1) column: DIAGONAL gathers into out, GATE row by row."""
-    if inst.backend is Backend.DIAGONAL:
-        return _phase_diagonal(rows, inst.cost, gammas, out)
-    for row, (gamma,) in zip(rows, gammas.tolist()):
-        apply_phase_gate_level(row, inst.graph, gamma)
-    return rows
+def _layer_phases(inst: QaoaInstance, gammas: np.ndarray):
+    """Per layer of (p, B, 1) gammas, what _phase_layer takes: GATE's (B, 1) column, or DIAGONAL's (B, L) phases of
+    the L cost levels as _phase_diagonal exps them, D // L layers per exp so that the table stays within a state."""
+    if inst.backend is Backend.GATE:
+        yield from gammas
+        return
+    per_exp = max(1, inst.cost.values.size // inst.cost.levels[0].size)
+    for start in range(0, len(gammas), per_exp):
+        table = -0.5j * gammas[start : start + per_exp] * inst.cost.levels[0]
+        yield from np.exp(table, out=table)
+
+
+def _phase_layer(inst: QaoaInstance, rows: np.ndarray, phases: np.ndarray, out, uniform: bool = False) -> None:
+    """One phase layer on a (B, D) stack in place, given its _layer_phases entry: DIAGONAL gathers into out, GATE runs
+    row by row.  uniform=True starts from the uniform state, into which DIAGONAL gathers 2**-n * phases directly."""
+    n = inst.graph.n
+    if inst.backend is Backend.GATE:
+        if uniform:
+            rows[:, : 4**n], rows[:, 4**n :] = 2.0**-n, 0.0
+        for row, (gamma,) in zip(rows, phases.tolist()):
+            apply_phase_gate_level(row, inst.graph, gamma)
+    elif uniform:
+        (phases * 2.0**-n).take(inst.cost.levels[1], axis=-1, out=rows, mode="clip")
+    else:
+        rows *= phases.take(inst.cost.levels[1], axis=-1, out=out, mode="clip")
 
 
 def _measure(rows: np.ndarray, cost: CostDiagonal | None, scratch: np.ndarray) -> list[float]:
@@ -366,8 +396,9 @@ def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[flo
     stack, scratch = (np.empty((min(max(betas.size, 1), per_call), size), dtype=complex) for _ in range(2))
     energies = np.empty((gammas.size, betas.size))
     for i, gamma in enumerate(gammas[:, None, None]):
-        register[:, :size], register[:, size:] = 2.0**-n, 0.0
-        state = _color_block(_phase_layer(inst, register, gamma, scratch[:1])[0], size, "after the phase layer")
+        (phases,) = _layer_phases(inst, gamma[None])  # one exp per gamma: a table of them could outgrow a state
+        _phase_layer(inst, register, phases, scratch[:1], uniform=True)
+        state = _color_block(register[0], size, "after the phase layer")
         for start in range(0, betas.size, per_call):
             chunk = betas[start : start + per_call, None]
             stack[: len(chunk)] = state
@@ -383,8 +414,6 @@ def _energies(plan: _Plan, thetas: np.ndarray) -> np.ndarray:
     expectation(run_qaoa(plan.inst, ParameterVector.from_flat(thetas[b])), plan.inst.cost), bit for bit.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != 2 * plan.inst.depth:
-        raise ValueError(f"angle array shape {thetas.shape} does not match (B, {2 * plan.inst.depth})")
     energies = np.empty(len(thetas))
     for start in range(0, len(thetas), plan.rows):
         energies[start : start + plan.rows] = plan.run(thetas[start : start + plan.rows], plan.inst.cost)[1]

@@ -353,6 +353,22 @@ def test_main_solve_refuses_bad_shots_before_any_stage(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == f"error: shots must be >= 1, got {shots}\n"
 
 
+def test_main_solve_refuses_a_small_refinement_budget_before_any_stage(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve stage ran before the refinement budget check")
+
+    for stage in ("brute_force_max_cut", "_optimize_batched"):
+        monkeypatch.setattr(cli, stage, unreachable)
+    graph = write(tmp_path, "k8.txt", "8 28\n" + "\n".join(f"{i} {j} 1" for i in range(8) for j in range(i + 1, 8)))
+    config = write(tmp_path, "conf.txt", "max_evals = 5\nm = 200\n")
+    # A p=2 simplex and one step take 2 * 2 + 2 = 6 evaluations; refine words the refusal the same way.
+    assert main(["solve", "--graph", graph, "--p", "2", "--config", config]) == 1
+    message = "budget 5 below the 6 evals a simplex needs"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cli.refine(lambda theta: 0.0, np.zeros(4), cli.RefineConfig(max_evals=5))
+
+
 def test_main_missing_file_and_bad_usage(tmp_path, capsys):
     assert main(["solve", "--graph", str(tmp_path / "nope.txt")]) == 1
     assert "error:" in capsys.readouterr().err

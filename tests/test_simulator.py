@@ -525,13 +525,14 @@ def test_nan_angles_fail_the_norm_check():
 
 
 def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
-    # The plan mixes through the private _mix kernel, not apply_mixer: record the (rows, D) stack it mixes.
+    # The plan mixes through the private _mix kernel over its prebuilt passes, not apply_mixer: record the
+    # (rows, D) stack it mixes.
     real_mix = simulator._mix
     seen = []
 
-    def recording_mix(state, scratch, matrices, n):
+    def recording_mix(state, scratch, matrices, n, passes=None):
         seen.append(state.shape)
-        return real_mix(state, scratch, matrices, n)
+        return real_mix(state, scratch, matrices, n, passes)
 
     monkeypatch.setattr(simulator, "_mix", recording_mix)
     _energies(_Plan(make_instance(G4, 2)), np.zeros((17, 4)))
@@ -546,6 +547,43 @@ def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
     for bad in (np.zeros((3, 3)), np.zeros(4), np.zeros((1, 2, 4))):
         with pytest.raises(ValueError):
             _energies(_Plan(make_instance(G4, 2)), bad)
+    # The refinement objective runs the plan directly, which checks the angle count as well.
+    for bad in (np.zeros(3), np.zeros(5)):
+        with pytest.raises(ValueError, match=re.escape(f"angle array shape (1, {bad.size}) does not match (B, 4)")):
+            cli._energy_objective(_Plan(make_instance(G4, 2)))(bad)
+
+
+@pytest.mark.parametrize("p", [8, 9, 17])
+def test_phase_table_chunks_equal_reference(p):
+    # 2 cost levels and 16 amplitudes: the plan exps the phases of 16 // 2 = 8 layers at a time, so p = 8, 9
+    # and 17 end on, just past, and one past two chunk boundaries.
+    inst = make_instance(parse_edge_list("2 1\n0 1 0.7"), p)
+    assert (inst.cost.levels[0].size, inst.cost.values.size) == (2, 16)
+    rng = np.random.default_rng(70 + p)
+    for count in (1, 5, 17):
+        assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
+
+
+@pytest.mark.parametrize(
+    "graph, backend",
+    [(G4, Backend.DIAGONAL), (EDGE, Backend.DIAGONAL), (EDGE, Backend.GATE)],
+    ids=["g4-diagonal", "edge-diagonal", "edge-gate"],
+)
+def test_plan_views_follow_buffer_growth(graph, backend):
+    # A plan builds each row count's buffer views and mixer passes on its first run at that count, and drops
+    # them when the buffers grow: every later run must mix in, and return rows of, the grown buffers.  G4
+    # mixes in two passes per layer, the one-edge graph in one, so its layers alternate the buffers.
+    inst = make_instance(graph, 3, backend)
+    plan = _Plan(inst)
+    rng = np.random.default_rng(68)
+    for count in (1, 16, 1, 5):
+        thetas = rng.uniform(0.0, 2 * math.pi, (count, 6))
+        rows, energies = plan.run(thetas, inst.cost)
+        assert any(np.shares_memory(rows, buf) for buf in (plan.state, plan.scratch))
+        for row, energy, t in zip(rows, energies, thetas):
+            want = reference_run(inst, ParameterVector.from_flat(t))
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+            assert energy == expectation(want, inst.cost)
 
 
 def test_plan_results_survive_later_evaluations_without_faults():
@@ -590,15 +628,23 @@ def test_plan_results_survive_later_evaluations_without_faults():
     assert peak < 4**8 * 16 // 8
 
 
-@pytest.mark.parametrize("graph_name", ["g4.edgelist", "k5_weighted.edgelist"])
-def test_solve_reports_match_per_row_reference(monkeypatch, graph_name):
+@pytest.mark.parametrize(
+    "graph_name, depth",
+    [
+        # p=2 keeps the bare graph id; p=1 runs the first-layer gather alone, p=3 and 4 whole phase tables.
+        pytest.param(name, p, id=name if p == 2 else f"{name}-p{p}")
+        for name in ("g4.edgelist", "k5_weighted.edgelist")
+        for p in (2, 1, 3, 4)
+    ],
+)
+def test_solve_reports_match_per_row_reference(monkeypatch, graph_name, depth):
     # The same solve with every evaluation run by reference_run, one scalar circuit per row with the
     # per-beta Python mixer terms, must give the same report, trace and theta bytes.
     graph = load_graph(str(GRAPHS / graph_name))
 
     def solve():
         search, refine_cfg, shots_seed = cli.build_configs({"m": 60, "max_evals": 80}, 3)
-        report, trace, result = cli.run_solve(graph, 2, Backend.DIAGONAL, search, refine_cfg, 3, 512, shots_seed)
+        report, trace, result = cli.run_solve(graph, depth, Backend.DIAGONAL, search, refine_cfg, 3, 512, shots_seed)
         return cli.report_to_json(report), trace_to_csv(trace), result.theta.tobytes()
 
     def reference_energies(plan, thetas):
