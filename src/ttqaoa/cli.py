@@ -89,6 +89,8 @@ def load_config(path: str | None) -> dict[str, float]:
 
 def derive_seeds(master: int) -> tuple[int, int, int]:
     """Independent child seeds for the search, refinement, and shot stages."""
+    if master < 0:
+        raise ValueError(f"master seed must be >= 0, got {master}")
     state = np.random.SeedSequence(master).generate_state(3)
     return int(state[0]), int(state[1]), int(state[2])
 
@@ -114,7 +116,7 @@ def _graph_summary(g: Graph) -> dict[str, float]:
 
 
 def _energy_objective(plan: _Plan) -> Callable[[np.ndarray], float]:
-    return lambda theta: plan.run(theta[None], plan.inst.cost)[1][0]
+    return lambda theta: plan.run(theta[None])[1][0]
 
 
 def _count_rows(g: Graph, counts: dict[int, int], limit: int) -> list[dict[str, object]]:
@@ -330,8 +332,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(load_graph(args.graph), args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -73,11 +73,6 @@ class OptimizationTrace:
     batch_means: list[float] = field(default_factory=list)
 
 
-def evaluation_plan(samples: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Distinct indices in first-appearance order."""
-    return list(dict.fromkeys(tuple(idx) for idx in samples))
-
-
 def optimize(
     objective: Callable[[tuple[int, ...]], float],
     dims: int,
@@ -122,7 +117,7 @@ def _optimize_batched(
         it += 1
         samples, sample_diag = sample_squared_batch(t, config.batch_size, rng)
         diagnostics["uniform_fallbacks"] += sample_diag.get("uniform_fallbacks", 0)
-        plan = evaluation_plan(samples)
+        plan = list(dict.fromkeys(samples))
         fresh = [idx for idx in plan if idx not in cache]
         diagnostics["cache_hits"] += len(plan) - len(fresh)
         fresh = fresh[: config.budget - len(cache)]

@@ -16,22 +16,23 @@ significant qubits; they start in |0> and are restored to |0> after every
 edge block, so they never entangle with the color register.  Only
 _color_block drops them, after checking that they hold no mass.
 
-The gates address qubits through one strided view, with no index array.  The
-mixer is one 16x16 matmul per two vertices (apply_rx is its gate-by-gate
-reference), its matrices built for all betas at once from exponents and
-Hamming gathers made at import, bit for bit Python's c ** (q - h) * s ** h:
-np.float_power calls libm's pow as Python does, where np.power's SIMD loop can
-move a last bit.  Circuits run as (B, D) stacks on buffers that their caller
-owns; rows equal one-row runs bit for bit.  A _Plan (one per solve, and per
-run_qaoa call) owns a state and a scratch buffer of at most (rows, D), rows =
+The gates address qubits through strided views of the state.  The mixer is
+one 16x16 matmul per two vertices (apply_rx is its gate-by-gate reference),
+its matrices built for all betas at once from exponents and Hamming gathers
+made at import, bit for bit Python's c ** (q - h) * s ** h: np.float_power
+calls libm's pow as Python does, where np.power's SIMD loop can move a last
+bit.  Circuits run as (B, D) stacks on buffers that their caller owns; rows
+equal one-row runs bit for bit.  A _Plan (one per solve, and per run_qaoa
+call) owns a state and a scratch buffer of at most (rows, D), rows =
 max(1, STACK_AMPLITUDES // D), and per row count its mixer views, dropped when
-the buffers grow.  One exp per D // L layers gives the DIAGONAL phases, so the
-table stays within a state; the first layer gathers 2**-n times them into the
-state, bit for bit the fill and multiply (an exact scaling).  energy_grid owns
-a register and two row stacks.  take's mode="clip" gathers phases
-(mode="raise" gathers into a fresh copy of out first), _mix passes between the
-buffers, _measure takes |amp|**2 in the free one; apply_mixer and
-apply_phase_diagonal run these kernels on one statevector.
+the buffers grow.  The DIAGONAL phases of the L cost levels are exped for
+D // L layers at a time, so the table stays within a state, and gathered per
+entry; the first layer gathers 2**-n times them straight into the state, bit
+for bit the uniform state phased, as a power-of-two scaling is exact.
+energy_grid owns a register and two row stacks.  take's mode="clip" gathers
+phases (mode="raise" gathers into a fresh copy of out first), _mix passes
+between the buffers, _measure takes |amp|**2 in the free one; apply_mixer and
+apply_phase_diagonal are the mixer and phase layer on one statevector.
 """
 from __future__ import annotations
 
@@ -165,8 +166,8 @@ def _view(state: np.ndarray, q: int, bits: dict[int, int]) -> np.ndarray:
     return state.reshape((2,) * q)[(*index, ...)]
 
 
-def _controlled_x(state: np.ndarray, controls: tuple[int, ...], target: int) -> np.ndarray:
-    """Flip the target where every control is 1: swap its 0 and 1 views."""
+def apply_controlled_x(state: np.ndarray, controls: Sequence[int], target: int) -> np.ndarray:
+    """X, CX or CCX by control count: flip the target where every control is 1, swapping its 0 and 1 views."""
     q = _check_qubits(state, *controls, target)
     on = dict.fromkeys(controls, 1)
     v0, v1 = _view(state, q, {**on, target: 0}), _view(state, q, {**on, target: 1})
@@ -176,10 +177,6 @@ def _controlled_x(state: np.ndarray, controls: tuple[int, ...], target: int) -> 
     return state
 
 
-def apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
-    return _controlled_x(state, (), qubit)
-
-
 def apply_rx(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     """Rotation exp(-i*theta*X/2) on one qubit: the gate-by-gate reference for apply_mixer."""
     _check_qubits(state, qubit)
@@ -187,14 +184,6 @@ def apply_rx(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     psi = state.reshape(*state.shape[:-1], -1, 2, 1 << qubit)
     psi[...] = np.array([[c, s], [s, c]]) @ psi
     return state
-
-
-def apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    return _controlled_x(state, (control,), target)
-
-
-def apply_ccx(state: np.ndarray, control_a: int, control_b: int, target: int) -> np.ndarray:
-    return _controlled_x(state, (control_a, control_b), target)
 
 
 def apply_controlled_phase(state: np.ndarray, controls: Sequence[int], target: int, phi: float) -> np.ndarray:
@@ -229,19 +218,14 @@ def apply_mixer(state: np.ndarray, beta: float, n: int) -> np.ndarray:
 
 
 def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) -> np.ndarray:
-    """amplitude[z] *= exp(-i*gamma*cost[z]/2) on one statevector, one exp per cost level gathered by _phase_diagonal.
+    """amplitude[z] *= exp(-i*gamma*cost[z]/2) on one statevector: one exp per cost level, gathered per entry.
 
-    A (B, D) stack, a state of another length or a non-scalar gamma raises: stacks go through _phase_diagonal.
+    A (B, D) stack, a state of another length or a non-scalar gamma raises: stacks go through _phase_layer.
     """
     if state.shape != cost.values.shape or np.ndim(gamma) != 0:
         raise ValueError(f"a {cost.values.shape} state and scalar gamma expected, got {state.shape}, {np.shape(gamma)}")
-    return _phase_diagonal(state, cost, gamma)
-
-
-def _phase_diagonal(rows: np.ndarray, cost: CostDiagonal, gammas, out: np.ndarray | None = None) -> np.ndarray:
-    """rows *= exp(-0.5j * gammas * levels), gathered per entry into out if given (see the module docstring)."""
-    rows *= np.exp(-0.5j * gammas * cost.levels[0]).take(cost.levels[1], axis=-1, out=out, mode="clip")
-    return rows
+    state *= np.exp(-0.5j * gamma * cost.levels[0]).take(cost.levels[1], mode="clip")
+    return state
 
 
 def _color_block(state: np.ndarray, color_dim: int, when: str) -> np.ndarray:
@@ -258,44 +242,32 @@ def _color_block(state: np.ndarray, color_dim: int, when: str) -> np.ndarray:
 def apply_phase_gate_level(state: np.ndarray, g: Graph, gamma: float) -> np.ndarray:
     """Gate-level phase separator over the two-ancilla register, edge by edge.
 
-    For each edge three blocks run: an equal-pair block (CX-compute the XOR of
-    the two bit pairs onto vertex j, X-flip, controlled phase, uncompute) and
-    one block per aliased cross pair (2,3)/(3,2) (CCX the pair predicates onto
-    the ancillas, ancilla-controlled phase, uncompute).  Each controlled phase
-    turns by -gamma*w, which reproduces the diagonal evolution up to one
-    global phase per edge.  Ancillas must enter in |0> and are restored after
-    every block.
+    Each edge runs three compute-phase-uncompute blocks: a list of X/CX/CCX
+    gates, one controlled phase of -gamma*w on vertex j's low bit, then the
+    same list reversed, each of its gates being its own inverse.  The
+    equal-pair block computes the XOR of the two bit pairs onto vertex j and
+    flips it; each block of an aliased cross pair (2,3)/(3,2) computes the two
+    pair predicates onto the ancillas.  Together they reproduce the diagonal
+    evolution up to one global phase per edge.  Ancillas must enter in |0>
+    and are restored after every block.
     """
     if state.size != 4**g.n * 4:
         raise ValueError(f"state length {state.size} does not match {2 * g.n} color qubits + 2 ancillas")
     anc0, anc1 = 2 * g.n, 2 * g.n + 1
     _color_block(state, 4**g.n, "at entry")
     for i, j, w in g.edges:
-        qi0, qi1 = 2 * i + 1, 2 * i
-        qj0, qj1 = 2 * j + 1, 2 * j
-        phi = -gamma * w
-
-        # Equal bit pairs: after CX + X, vertex j's pair is 11 iff the pairs matched.
-        apply_cx(state, qi0, qj0)
-        apply_cx(state, qi1, qj1)
-        apply_x(state, qj0)
-        apply_x(state, qj1)
-        apply_controlled_phase(state, [qj0], qj1, phi)
-        apply_x(state, qj1)
-        apply_x(state, qj0)
-        apply_cx(state, qi1, qj1)
-        apply_cx(state, qi0, qj0)
-
-        # Pairs (2, 3) then (3, 2): X on vertex i's, then vertex j's, low bit
-        # makes that vertex's 10 readable as 11.
-        for low in (qi1, qj1):
-            apply_x(state, low)
-            apply_ccx(state, qi0, qi1, anc0)
-            apply_ccx(state, qj0, qj1, anc1)
-            apply_controlled_phase(state, [anc0, anc1], qj1, phi)
-            apply_ccx(state, qj0, qj1, anc1)
-            apply_ccx(state, qi0, qi1, anc0)
-            apply_x(state, low)
+        qi0, qi1, qj0, qj1 = 2 * i + 1, 2 * i, 2 * j + 1, 2 * j
+        # Per block, its compute gates as (controls, target) and its phase controls.  Equal bit pairs: after CX + X,
+        # vertex j's pair is 11 iff the pairs matched.  Pairs (2, 3) then (3, 2): X on vertex i's, then vertex j's,
+        # low bit makes that vertex's 10 readable as 11.
+        blocks = [([((qi0,), qj0), ((qi1,), qj1), ((), qj0), ((), qj1)], (qj0,))]
+        blocks += [([((), low), ((qi0, qi1), anc0), ((qj0, qj1), anc1)], (anc0, anc1)) for low in (qi1, qj1)]
+        for gates, phase_controls in blocks:
+            for controls, target in gates:
+                apply_controlled_x(state, controls, target)
+            apply_controlled_phase(state, phase_controls, qj1, -gamma * w)
+            for controls, target in reversed(gates):
+                apply_controlled_x(state, controls, target)
     return state
 
 
@@ -310,10 +282,10 @@ class _Plan:
         self.rows = max(1, STACK_AMPLITUDES // self.state.shape[1])
         self.views: dict[int, tuple] = {}  # per row count: the buffers' leading rows and, by id, their _mix_passes
 
-    def run(self, thetas: np.ndarray, cost: CostDiagonal | None = None) -> tuple[np.ndarray, list[float]]:
+    def run(self, thetas: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """The p layers and _measure on one register per row of (B, 2p) flat angles, B <= rows.
 
-        Returns the rows, a view of a plan buffer until the next run, and each row's <cost> given a cost.
+        Returns the rows, a view of a plan buffer until the next run, and each row's <inst.cost>.
         """
         inst, n, p = self.inst, self.inst.graph.n, self.inst.depth
         if thetas.ndim != 2 or thetas.shape[1] != 2 * p:
@@ -329,7 +301,7 @@ class _Plan:
         for layer, (phases, *matrices) in enumerate(zip(_layer_phases(inst, thetas[:, :p].T[..., None]), *blocks)):
             _phase_layer(inst, state, phases, scratch, uniform=not layer)
             state, scratch = _mix(state, scratch, matrices, n, passes[id(state)])
-        return state, _measure(state, cost, scratch)
+        return state, _measure(state, inst.cost, scratch)
 
 
 def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
@@ -341,8 +313,8 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
 
 
 def _layer_phases(inst: QaoaInstance, gammas: np.ndarray):
-    """Per layer of (p, B, 1) gammas, what _phase_layer takes: GATE's (B, 1) column, or DIAGONAL's (B, L) phases of
-    the L cost levels as _phase_diagonal exps them, D // L layers per exp so that the table stays within a state."""
+    """Per layer of (p, B, 1) gammas, what _phase_layer takes: GATE's (B, 1) column, or DIAGONAL's (B, L) phases
+    exp(-0.5j * gamma * level) of the L cost levels, D // L layers per exp so that the table stays within a state."""
     if inst.backend is Backend.GATE:
         yield from gammas
         return
@@ -367,13 +339,13 @@ def _phase_layer(inst: QaoaInstance, rows: np.ndarray, phases: np.ndarray, out, 
         rows *= phases.take(inst.cost.levels[1], axis=-1, out=out, mode="clip")
 
 
-def _measure(rows: np.ndarray, cost: CostDiagonal | None, scratch: np.ndarray) -> list[float]:
-    """Raise unless every row of a (B, D) stack kept unit norm (NaN fails too); given a cost, each row's own <cost>."""
+def _measure(rows: np.ndarray, cost: CostDiagonal, scratch: np.ndarray) -> list[float]:
+    """Raise unless every row of a (B, D) stack kept unit norm (NaN fails too); then each row's own <cost>."""
     probs = np.abs(rows, out=scratch.view(float)[:, : rows.shape[1]])
     for norm in np.sqrt(np.add.reduce(np.square(probs, out=probs), axis=1)).tolist():
         if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError(f"statevector norm drifted to {norm}")
-    return [] if cost is None else [_energy(row, row_probs, cost) for row, row_probs in zip(rows, probs)]
+    return [_energy(row, row_probs, cost) for row, row_probs in zip(rows, probs)]
 
 
 def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
@@ -416,7 +388,7 @@ def _energies(plan: _Plan, thetas: np.ndarray) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     energies = np.empty(len(thetas))
     for start in range(0, len(thetas), plan.rows):
-        energies[start : start + plan.rows] = plan.run(thetas[start : start + plan.rows], plan.inst.cost)[1]
+        energies[start : start + plan.rows] = plan.run(thetas[start : start + plan.rows])[1]
     return energies
 
 

@@ -75,6 +75,8 @@ def test_derive_seeds():
     assert seeds != derive_seeds(1)
     oracle = np.random.SeedSequence(0).generate_state(3)
     assert seeds == tuple(int(x) for x in oracle)
+    with pytest.raises(ValueError, match=r"^master seed must be >= 0, got -1$"):
+        derive_seeds(-1)
 
 
 def test_resolve_seed_precedence():
@@ -367,6 +369,28 @@ def test_main_solve_refuses_a_small_refinement_budget_before_any_stage(tmp_path,
     assert capsys.readouterr().err == f"error: {message}\n"
     with pytest.raises(ValueError, match=f"^{message}$"):
         cli.refine(lambda theta: 0.0, np.zeros(4), cli.RefineConfig(max_evals=5))
+
+
+def test_main_solve_refuses_a_negative_seed_from_either_route(tmp_path, capsys):
+    graph = write(tmp_path, "edge.txt", EDGE_TEXT)
+    config = write(tmp_path, "conf.txt", TINY_CONFIG + "seed = -1\n")
+    for route in (["--seed", "-1"], ["--config", config]):
+        assert main(["solve", "--graph", graph, "--p", "1", *route]) == 1
+        assert capsys.readouterr().err == "error: master seed must be >= 0, got -1\n"
+
+
+def test_main_reports_memory_errors(tmp_path, capsys, monkeypatch):
+    # A solve whose search cannot allocate its arrays ends in an error line, not a traceback.
+    graph = write(tmp_path, "edge.txt", EDGE_TEXT)
+    message = "Unable to allocate 74.5 GiB for an array with shape (1, 100, 100000000) and data type float64"
+    for exc, err in ((MemoryError(message), message), (MemoryError(), "MemoryError")):
+
+        def out_of_memory(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "_optimize_batched", out_of_memory)
+        assert main(["solve", "--graph", graph, "--p", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_main_missing_file_and_bad_usage(tmp_path, capsys):

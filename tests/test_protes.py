@@ -8,7 +8,6 @@ from ttqaoa.graph import parse_edge_list
 from ttqaoa.protes import (
     ProtesConfig,
     _optimize_batched,
-    evaluation_plan,
     optimize,
     trace_to_csv,
 )
@@ -95,11 +94,20 @@ def test_index_to_angles():
             index_to_angles([bad], 10)
 
 
-def test_evaluation_plan():
-    same = [(1, 2)] * 4
-    assert evaluation_plan(same) == [(1, 2)]
-    mixed = [(0, 0), (1, 1), (0, 0), (2, 2)]
-    assert evaluation_plan(mixed) == [(0, 0), (1, 1), (2, 2)]
+def test_evaluation_plan(monkeypatch):
+    # evaluate receives each batch's distinct uncached indices in first-appearance order, cut at the budget.
+    batches = iter([[(1, 2)] * 4, [(0, 0), (1, 1), (0, 0), (2, 2)], [(2, 2), (3, 3), (1, 2), (4, 4)]])
+    monkeypatch.setattr(protes, "sample_squared_batch", lambda t, count, rng: (next(batches), {}))
+    calls = []
+
+    def evaluate(fresh):
+        calls.append(list(fresh))
+        return [quadratic(idx) for idx in fresh]
+
+    cfg = ProtesConfig(rank=2, batch_size=4, elite_count=2, nodes_per_dim=5, budget=5)
+    trace = _optimize_batched(evaluate, 2, cfg)
+    assert calls == [[(1, 2)], [(0, 0), (1, 1), (2, 2)], [(3, 3)]]
+    assert trace.diagnostics["cache_hits"] == 2 and trace.total_evals == 5
 
 
 def test_optimize_dims_guard():
@@ -279,7 +287,7 @@ def test_batched_core_evaluates_fresh_indices_in_plan_order(monkeypatch):
     seen: list[tuple[int, ...]] = []
     expected, cut = [], 0
     for i, samples in enumerate(draws, start=1):
-        fresh = [idx for idx in evaluation_plan(samples) if idx not in seen]
+        fresh = [idx for idx in dict.fromkeys(samples) if idx not in seen]
         cut += len(fresh) > cfg.budget - len(seen)
         fresh = fresh[: cfg.budget - len(seen)]
         if fresh:

@@ -18,14 +18,12 @@ from ttqaoa.simulator import (
     ParameterVector,
     _energies,
     _Plan,
-    apply_ccx,
     apply_controlled_phase,
-    apply_cx,
+    apply_controlled_x,
     apply_mixer,
     apply_phase_diagonal,
     apply_phase_gate_level,
     apply_rx,
-    apply_x,
     energy_grid,
     expectation,
     make_instance,
@@ -89,6 +87,42 @@ def ref_controlled_phase(state, controls, target, phi):
     return state
 
 
+def ref_controlled_x(state, controls, target):
+    return (ref_x, ref_cx, ref_ccx)[len(controls)](state, *controls, target)
+
+
+def written_out_gate_layer(state, g, gamma):
+    """The gate-level phase separator as its 23 gates per edge, one by one on the reference gates."""
+    anc0, anc1 = 2 * g.n, 2 * g.n + 1
+    for i, j, w in g.edges:
+        qi0, qi1, qj0, qj1 = 2 * i + 1, 2 * i, 2 * j + 1, 2 * j
+        phi = -gamma * w
+        ref_cx(state, qi0, qj0)
+        ref_cx(state, qi1, qj1)
+        ref_x(state, qj0)
+        ref_x(state, qj1)
+        ref_controlled_phase(state, [qj0], qj1, phi)
+        ref_x(state, qj1)
+        ref_x(state, qj0)
+        ref_cx(state, qi1, qj1)
+        ref_cx(state, qi0, qj0)
+        ref_x(state, qi1)
+        ref_ccx(state, qi0, qi1, anc0)
+        ref_ccx(state, qj0, qj1, anc1)
+        ref_controlled_phase(state, [anc0, anc1], qj1, phi)
+        ref_ccx(state, qj0, qj1, anc1)
+        ref_ccx(state, qi0, qi1, anc0)
+        ref_x(state, qi1)
+        ref_x(state, qj1)
+        ref_ccx(state, qi0, qi1, anc0)
+        ref_ccx(state, qj0, qj1, anc1)
+        ref_controlled_phase(state, [anc0, anc1], qj1, phi)
+        ref_ccx(state, qj0, qj1, anc1)
+        ref_ccx(state, qi0, qi1, anc0)
+        ref_x(state, qj1)
+    return state
+
+
 def test_parameter_vector():
     theta = ParameterVector((0.1, 0.2), (0.3, 0.4))
     assert theta.p == 2
@@ -141,12 +175,12 @@ def test_make_instance_checks_qubit_limit_before_cost_diagonal():
 
 
 def test_gate_primitives_truth_tables():
-    assert np.allclose(apply_x(basis(2, 0), 0), basis(2, 1))
-    assert np.allclose(apply_x(basis(2, 0b10), 1), basis(2, 0))
-    assert np.allclose(apply_cx(basis(2, 0b01), 0, 1), basis(2, 0b11))
-    assert np.allclose(apply_cx(basis(2, 0b10), 0, 1), basis(2, 0b10))
-    assert np.allclose(apply_ccx(basis(3, 0b011), 0, 1, 2), basis(3, 0b111))
-    assert np.allclose(apply_ccx(basis(3, 0b001), 0, 1, 2), basis(3, 0b001))
+    assert np.allclose(apply_controlled_x(basis(2, 0), (), 0), basis(2, 1))
+    assert np.allclose(apply_controlled_x(basis(2, 0b10), (), 1), basis(2, 0))
+    assert np.allclose(apply_controlled_x(basis(2, 0b01), (0,), 1), basis(2, 0b11))
+    assert np.allclose(apply_controlled_x(basis(2, 0b10), (0,), 1), basis(2, 0b10))
+    assert np.allclose(apply_controlled_x(basis(3, 0b011), (0, 1), 2), basis(3, 0b111))
+    assert np.allclose(apply_controlled_x(basis(3, 0b001), (0, 1), 2), basis(3, 0b001))
 
 
 def test_gate_primitives_match_reference():
@@ -163,11 +197,9 @@ def test_gate_primitives_match_reference():
             orders += [rng.permutation(q).tolist() for _ in range(6)]
         for order in orders:
             state = rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
-            cases = [(apply_x, ref_x, (order[0],))]
-            if q >= 2:
-                cases.append((apply_cx, ref_cx, tuple(order[:2])))
-            if q >= 3:
-                cases.append((apply_ccx, ref_ccx, tuple(order[:3])))
+            cases = []
+            for c in range(min(2, q - 1) + 1):
+                cases.append((apply_controlled_x, ref_controlled_x, (order[:c], order[c])))
             for c in range(min(3, q - 1) + 1):
                 phi = float(rng.uniform(-math.pi, math.pi))
                 cases.append((apply_controlled_phase, ref_controlled_phase, (order[:c], order[c], phi)))
@@ -194,14 +226,14 @@ def test_controlled_phase_flips_only_all_ones():
 
 def test_gate_index_errors():
     with pytest.raises(ValueError):
-        apply_x(basis(2, 0), 2)
+        apply_controlled_x(basis(2, 0), (), 2)
     with pytest.raises(ValueError):
-        apply_cx(basis(2, 0), 0, 0)
+        apply_controlled_x(basis(2, 0), (0,), 0)
     with pytest.raises(ValueError):
         apply_controlled_phase(basis(2, 0), [0], 5, 1.0)
     # A repeated qubit must not merge silently into one fixed bit.
     with pytest.raises(ValueError):
-        apply_ccx(basis(3, 0), 0, 0, 1)
+        apply_controlled_x(basis(3, 0), (0, 0), 1)
     with pytest.raises(ValueError):
         apply_controlled_phase(basis(2, 0), [1], 1, 1.0)
     with pytest.raises(ValueError):
@@ -436,14 +468,18 @@ def test_phase_diagonal_stack_rows_match_one_row_calls():
     rng = np.random.default_rng(31)
     for graph in (G4, random_complete_graph(5, 1)):
         cost = build_cost_diagonal(graph)
+        inst = make_instance(graph, 1)
         stack = rng.standard_normal((3, cost.values.size)) + 1j * rng.standard_normal((3, cost.values.size))
         gammas = rng.uniform(-4.0, 4.0, (3, 1))
-        # One-row kernel runs gathering into an out buffer, as the plan and energy_grid do.
-        rows = [(row[None].copy(), g[None]) for row, g in zip(stack, gammas)]
-        expected = np.concatenate([simulator._phase_diagonal(r, cost, g, np.empty_like(r)) for r, g in rows])
+        # One-row phase layers gathering into an out buffer, as the plan and energy_grid run them.
+        expected = stack.copy()
+        for row, g in zip(expected, gammas):
+            (phases,) = simulator._layer_phases(inst, g[None, None])
+            simulator._phase_layer(inst, row[None], phases, np.empty_like(row[None]))
         for row, g, want in zip(stack, gammas[:, 0], expected):
             assert np.array_equal(apply_phase_diagonal(row.copy(), cost, g), want)
-        assert simulator._phase_diagonal(stack, cost, gammas, np.empty_like(stack)) is stack
+        (phases,) = simulator._layer_phases(inst, gammas[None])
+        simulator._phase_layer(inst, stack, phases, np.empty_like(stack))
         assert np.array_equal(stack, expected)
 
 
@@ -578,7 +614,7 @@ def test_plan_views_follow_buffer_growth(graph, backend):
     rng = np.random.default_rng(68)
     for count in (1, 16, 1, 5):
         thetas = rng.uniform(0.0, 2 * math.pi, (count, 6))
-        rows, energies = plan.run(thetas, inst.cost)
+        rows, energies = plan.run(thetas)
         assert any(np.shares_memory(rows, buf) for buf in (plan.state, plan.scratch))
         for row, energy, t in zip(rows, energies, thetas):
             want = reference_run(inst, ParameterVector.from_flat(t))
@@ -697,6 +733,23 @@ def test_gate_phase_matches_diagonal_up_to_global_phase():
         phase = block[np.argmax(np.abs(block))] / diag_state[np.argmax(np.abs(block))]
         assert abs(abs(phase) - 1.0) < 1e-10
         assert np.allclose(block, phase * diag_state, atol=1e-10)
+
+
+def test_gate_phase_equals_written_out_gates_bit_for_bit():
+    # The gate layer runs each edge's three blocks as compute gates, phase, and the compute gates reversed:
+    # that is the written-out sequence of 23 gates per edge, to the last bit, on any color state.
+    rng = np.random.default_rng(73)
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7] or [(0, 1)]
+            g = Graph(n, tuple((i, j, float(rng.uniform(0.1, 3.0))) for i, j in pairs))
+            gamma = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+            state = np.zeros(4**n * 4, dtype=complex)
+            state[: 4**n] = rng.standard_normal(4**n) + 1j * rng.standard_normal(4**n)
+            state /= np.linalg.norm(state)
+            got = apply_phase_gate_level(state.copy(), g, gamma)
+            want = written_out_gate_layer(state.copy(), g, gamma)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, g.edges, gamma)
 
 
 def test_gate_phase_restores_ancillas():
