@@ -17,6 +17,7 @@ import dataclasses
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ DEFAULT_SHOTS = 4096
 DEFAULT_RESOLUTION = 100
 TOP_COUNT_ROWS = 16
 
-# Stage keys of a solve config and the field each sets, cast to its default's type; "seed" goes to resolve_seed.
+# Stage keys of a solve config and the field each sets, cast to its default's type; "seed" goes to cmd_solve.
 _CONFIG_FIELDS = {
     "R": (ProtesConfig, "rank"),
     "K": (ProtesConfig, "batch_size"),
@@ -80,25 +81,12 @@ def parse_config_text(text: str) -> dict[str, float]:
     return out
 
 
-def load_config(path: str | None) -> dict[str, float]:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        return parse_config_text(fh.read())
-
-
 def derive_seeds(master: int) -> tuple[int, int, int]:
     """Independent child seeds for the search, refinement, and shot stages."""
     if master < 0:
         raise ValueError(f"master seed must be >= 0, got {master}")
     state = np.random.SeedSequence(master).generate_state(3)
     return int(state[0]), int(state[1]), int(state[2])
-
-
-def resolve_seed(cli_seed: int | None, raw: dict[str, float]) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    return int(raw.get("seed", 0))
 
 
 def build_configs(raw: dict[str, float], master: int) -> tuple[ProtesConfig, RefineConfig, int]:
@@ -149,13 +137,13 @@ def run_solve(
     if shots < 1:  # before the search, which can take hours; sample_counts checks again
         raise ValueError(f"shots must be >= 1, got {shots}")
     check_simplex_budget(refine_cfg.max_evals, 2 * depth)  # likewise; refine checks again
+    inst = make_instance(g, depth, backend)  # likewise: depth, register size and weights
+    check_gamma_period(inst.cost)
     t0 = time.perf_counter()
     colors, optimal = brute_force_max_cut(g, 3)
     if optimal <= 0.0:
         raise ValueError("optimal cut is zero; approximation ratio undefined")
     t1 = time.perf_counter()
-    inst = make_instance(g, depth, backend)
-    check_gamma_period(inst.cost)
     plan = _Plan(inst)
 
     def evaluate(idxs: list[tuple[int, ...]]) -> np.ndarray:
@@ -229,6 +217,8 @@ def landscape_csv(g: Graph, resolution: int, backend: Backend) -> str:
 
 def hist_csv(g: Graph, theta: Sequence[float], shots: int, seed: int, backend: Backend) -> str:
     """Counts for every observed bitstring, heaviest first, with decoded cuts."""
+    if seed < 0:  # before any circuit runs; numpy's own refusal names no value
+        raise ValueError(f"seed must be >= 0, got {seed}")
     params = ParameterVector.from_flat(theta)
     state = run_qaoa(make_instance(g, params.p, backend), params)
     counts = sample_counts(state, shots, np.random.default_rng(seed), color_dim=4**g.n)
@@ -248,8 +238,8 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def cmd_solve(g: Graph, args: argparse.Namespace) -> None:
-    raw = load_config(args.config)
-    master = resolve_seed(args.seed, raw)
+    raw = {} if args.config is None else parse_config_text(Path(args.config).read_text())
+    master = int(raw.get("seed", 0)) if args.seed is None else args.seed
     protes_cfg, refine_cfg, shots_seed = build_configs(raw, master)
     report, trace, _ = run_solve(
         g, args.p, Backend(args.backend), protes_cfg, refine_cfg, master, args.shots, shots_seed

@@ -17,7 +17,7 @@ edge block, so they never entangle with the color register.  Only
 _color_block drops them, after checking that they hold no mass.
 
 The gates address qubits through strided views of the state.  The mixer is
-one 16x16 matmul per two vertices (apply_rx is its gate-by-gate reference),
+one 16x16 matmul per two vertices (the tests keep a gate-by-gate RX reference),
 its matrices built for all betas at once from exponents and Hamming gathers
 made at import, bit for bit Python's c ** (q - h) * s ** h: np.float_power
 calls libm's pow as Python does, where np.power's SIMD loop can move a last
@@ -31,8 +31,9 @@ entry; the first layer gathers 2**-n times them straight into the state, bit
 for bit the uniform state phased, as a power-of-two scaling is exact.
 energy_grid owns a register and two row stacks.  take's mode="clip" gathers
 phases (mode="raise" gathers into a fresh copy of out first), _mix passes
-between the buffers, _measure takes |amp|**2 in the free one; apply_mixer and
-apply_phase_diagonal are the mixer and phase layer on one statevector.
+between the buffers, _measure takes |amp|**2 in the free one, checking ancillas
+only on GATE's wider rows; apply_mixer and apply_phase_diagonal are the mixer
+and phase layer on one statevector.
 """
 from __future__ import annotations
 
@@ -159,30 +160,18 @@ def _mix(state: np.ndarray, scratch: np.ndarray, matrices: list, n: int, passes:
     return (scratch, state) if len(matrices) % 2 else (state, scratch)
 
 
-def _view(state: np.ndarray, q: int, bits: dict[int, int]) -> np.ndarray:
-    """Strided view of the amplitudes whose qubit t holds bits[t] for each listed t."""
+def _view(state: np.ndarray, q: int, bits: dict[int, int | slice]) -> np.ndarray:
+    """Strided view of the amplitudes whose qubit t holds bits[t] per listed t; a slice keeps (or reverses) t's axis."""
     index = [bits.get(t, slice(None)) for t in range(q - 1, -1, -1)]
     # The trailing Ellipsis keeps the all-qubits-fixed case a 0-d view, not a scalar.
     return state.reshape((2,) * q)[(*index, ...)]
 
 
 def apply_controlled_x(state: np.ndarray, controls: Sequence[int], target: int) -> np.ndarray:
-    """X, CX or CCX by control count: flip the target where every control is 1, swapping its 0 and 1 views."""
+    """X, CX or CCX by control count: where every control is 1, reverse the target axis (numpy copies the overlap)."""
     q = _check_qubits(state, *controls, target)
     on = dict.fromkeys(controls, 1)
-    v0, v1 = _view(state, q, {**on, target: 0}), _view(state, q, {**on, target: 1})
-    tmp = v0.copy()
-    v0[...] = v1
-    v1[...] = tmp
-    return state
-
-
-def apply_rx(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
-    """Rotation exp(-i*theta*X/2) on one qubit: the gate-by-gate reference for apply_mixer."""
-    _check_qubits(state, qubit)
-    c, s = math.cos(theta / 2), -1j * math.sin(theta / 2)
-    psi = state.reshape(*state.shape[:-1], -1, 2, 1 << qubit)
-    psi[...] = np.array([[c, s], [s, c]]) @ psi
+    _view(state, q, on)[...] = _view(state, q, {**on, target: slice(None, None, -1)})
     return state
 
 
@@ -207,7 +196,7 @@ def apply_mixer(state: np.ndarray, beta: float, n: int) -> np.ndarray:
     """exp(-i*beta*X) on each of the 2n color qubits of one statevector; ancillas are untouched.
 
     _mix runs it as a one-row stack between the state and a fresh buffer, equal to the plan's rows bit for bit
-    and to apply_rx to 1e-13.  A (B, D) stack or a non-scalar beta raises: stacks go through _mix.
+    and to the tests' RX reference to 1e-13.  A (B, D) stack or a non-scalar beta raises: stacks go through _mix.
     """
     if state.ndim != 1 or np.ndim(beta) != 0:
         raise ValueError(f"one state and scalar beta expected, got {state.shape}, {np.shape(beta)}")
@@ -345,7 +334,10 @@ def _measure(rows: np.ndarray, cost: CostDiagonal, scratch: np.ndarray) -> list[
     for norm in np.sqrt(np.add.reduce(np.square(probs, out=probs), axis=1)).tolist():
         if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError(f"statevector norm drifted to {norm}")
-    return [_energy(row, row_probs, cost) for row, row_probs in zip(rows, probs)]
+    if rows.shape[1] > cost.values.size:
+        for row in rows:
+            _color_block(row, cost.values.size, "at measurement")
+    return [float(row @ cost.values) for row in probs[:, : cost.values.size]]
 
 
 def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
@@ -394,13 +386,8 @@ def _energies(plan: _Plan, thetas: np.ndarray) -> np.ndarray:
 
 def expectation(state: np.ndarray, cost: CostDiagonal) -> float:
     """<cost> in the current state; ancillas, if present, are checked to be in |00>, not traced out."""
-    return _energy(state, np.abs(state[: cost.values.size]) ** 2, cost)
-
-
-def _energy(state: np.ndarray, probs: np.ndarray, cost: CostDiagonal) -> float:
-    """<cost> of one register whose |amp|**2 is probs, after checking that its ancilla blocks hold no mass."""
     _color_block(state, cost.values.size, "at measurement")
-    return float(probs[: cost.values.size] @ cost.values)
+    return float(np.abs(state[: cost.values.size]) ** 2 @ cost.values)
 
 
 def sample_counts(

@@ -16,7 +16,6 @@ from ttqaoa.cli import (
     main,
     parse_config_text,
     report_to_json,
-    resolve_seed,
 )
 from ttqaoa.graph import cut_value, load_graph, parse_edge_list, random_complete_graph, total_weight
 from ttqaoa.qaoa_model import build_cost_diagonal, cut_from_energy, index_to_angles
@@ -79,10 +78,17 @@ def test_derive_seeds():
         derive_seeds(-1)
 
 
-def test_resolve_seed_precedence():
-    assert resolve_seed(9, {"seed": 4}) == 9
-    assert resolve_seed(None, {"seed": 4}) == 4
-    assert resolve_seed(None, {}) == 0
+def test_main_solve_seed_precedence(tmp_path):
+    # --seed beats a config seed, a config seed beats the default, and the default is 0.
+    graph = write(tmp_path, "edge.txt", EDGE_TEXT)
+    seeded = write(tmp_path, "seeded.txt", TINY_CONFIG + "seed = 4\n")
+    plain = write(tmp_path, "plain.txt", TINY_CONFIG)
+    out = tmp_path / "report.json"
+    routes = ((["--config", seeded, "--seed", "9"], 9), (["--config", seeded], 4), (["--config", plain], 0))
+    for route, master in routes:
+        assert main(["solve", "--graph", graph, "--p", "1", "--shots", "16", "--out", str(out), *route]) == 0
+        report = json.loads(out.read_text())
+        assert (report["seed"], report["protes_config"]["seed"]) == (master, derive_seeds(master)[0])
 
 
 def test_build_configs_mapping():
@@ -323,6 +329,16 @@ def test_main_hist_flows(tmp_path):
     assert out2.read_bytes() == first
 
 
+def test_main_hist_refuses_a_negative_seed_before_any_circuit(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a circuit ran before the seed check")
+
+    monkeypatch.setattr(cli, "run_qaoa", unreachable)
+    graph = write(tmp_path, "g4.txt", G4_TEXT)
+    assert main(["hist", "--graph", graph, "--theta", "0.72,2.85", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_main_hist_theta_errors(tmp_path, capsys):
     graph = write(tmp_path, "edge.txt", EDGE_TEXT)
     theta_file = write(tmp_path, "theta.txt", "0.3 0.7\n")
@@ -336,11 +352,27 @@ def test_main_hist_theta_errors(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: gammas must be finite, got ({float(bad)},)\n"
 
 
-def test_main_solve_rejects_weights_without_a_2pi_period(tmp_path, capsys):
+def test_main_solve_rejects_weights_without_a_2pi_period(tmp_path, capsys, monkeypatch):
     # E(0.7 + 2*pi, 0.3) != E(0.7, 0.3) on this triangle, so a gamma grid over [0, 2*pi) would miss angles.
+    # The refusal comes before the brute force.
+    monkeypatch.setattr(cli, "brute_force_max_cut", lambda *args: pytest.fail("the brute force ran"))
     graph = write(tmp_path, "triangle.txt", "3 3\n0 1 0.5\n1 2 1.3\n0 2 1.0\n")
     assert main(["solve", "--graph", graph, "--p", "1", "--config", write(tmp_path, "conf.txt", TINY_CONFIG)]) == 1
     assert "2*pi gamma period" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, route, message",
+    [
+        (G4_TEXT, ["--p", "0"], "circuit depth must be >= 1, got 0"),
+        ("12 1\n0 11 1\n", ["--backend", "gate"], "26 qubits exceed the 24-qubit dense limit"),
+    ],
+    ids=["depth-0", "gate-register-over-24-qubits"],
+)
+def test_main_solve_refuses_a_bad_instance_before_the_brute_force(tmp_path, capsys, monkeypatch, text, route, message):
+    monkeypatch.setattr(cli, "brute_force_max_cut", lambda *args: pytest.fail("the brute force ran"))
+    assert main(["solve", "--graph", write(tmp_path, "g.txt", text), *route]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("shots", ["0", "-3"])

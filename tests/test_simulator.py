@@ -23,7 +23,6 @@ from ttqaoa.simulator import (
     apply_mixer,
     apply_phase_diagonal,
     apply_phase_gate_level,
-    apply_rx,
     energy_grid,
     expectation,
     make_instance,
@@ -89,6 +88,14 @@ def ref_controlled_phase(state, controls, target, phi):
 
 def ref_controlled_x(state, controls, target):
     return (ref_x, ref_cx, ref_ccx)[len(controls)](state, *controls, target)
+
+
+def ref_rx(state, qubit, theta):
+    """Rotation exp(-i*theta*X/2) on one qubit: the gate-by-gate reference for the mixer."""
+    c, s = math.cos(theta / 2), -1j * math.sin(theta / 2)
+    psi = state.reshape(-1, 2, 1 << qubit)
+    psi[...] = np.array([[c, s], [s, c]]) @ psi
+    return state
 
 
 def written_out_gate_layer(state, g, gamma):
@@ -210,9 +217,9 @@ def test_gate_primitives_match_reference():
 
 
 def test_rx_rotation():
-    state = apply_rx(basis(1, 0), 0, math.pi)
+    state = ref_rx(basis(1, 0), 0, math.pi)
     assert np.allclose(state, [0.0, -1j])
-    state = apply_rx(basis(1, 0), 0, math.pi / 2)
+    state = ref_rx(basis(1, 0), 0, math.pi / 2)
     assert np.allclose(state, [1 / math.sqrt(2), -1j / math.sqrt(2)])
 
 
@@ -236,8 +243,8 @@ def test_gate_index_errors():
         apply_controlled_x(basis(3, 0), (0, 0), 1)
     with pytest.raises(ValueError):
         apply_controlled_phase(basis(2, 0), [1], 1, 1.0)
-    with pytest.raises(ValueError):
-        apply_rx(np.ones(3, dtype=complex), 0, 1.0)
+    with pytest.raises(ValueError, match="not a power of two"):
+        apply_controlled_x(np.ones(3, dtype=complex), (), 0)
 
 
 def test_mixer_identity_cases():
@@ -290,7 +297,7 @@ def test_mixer_matches_rx_reference(n):
     for beta in rng.uniform(-4.0, 4.0, 3):
         expected = state.copy()
         for qubit in range(2 * n):
-            apply_rx(expected, qubit, 2.0 * beta)
+            ref_rx(expected, qubit, 2.0 * beta)
         assert np.max(np.abs(apply_mixer(state.copy(), beta, n) - expected)) < 1e-13
 
 
@@ -549,6 +556,24 @@ def test_stacked_energies_gate_backend_equal_reference():
             inst = make_instance(graph, p, Backend.GATE)
             for count in (1, 5, 17):
                 assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
+
+
+def test_stacked_energies_reject_ancilla_mass_in_any_row(monkeypatch):
+    # Only GATE rows are wider than the color block, so only they reach _measure's ancilla check; a leak in the
+    # last of three rows must still raise.
+    real_phase, calls = simulator.apply_phase_gate_level, []
+
+    def leaky_phase(state, g, gamma):
+        real_phase(state, g, gamma)
+        calls.append(gamma)
+        if len(calls) == 3:
+            state[4**g.n + 5] = 1e-5
+        return state
+
+    monkeypatch.setattr(simulator, "apply_phase_gate_level", leaky_phase)
+    with pytest.raises(ValueError, match="at measurement"):
+        _energies(_Plan(make_instance(K3, 1, Backend.GATE)), np.full((3, 2), 0.3))
+    assert len(calls) == 3
 
 
 def test_nan_angles_fail_the_norm_check():
