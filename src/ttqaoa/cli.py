@@ -159,8 +159,10 @@ def run_solve(
     counts = sample_counts(state, shots, np.random.default_rng(shots_seed), color_dim=4**g.n)
     t4 = time.perf_counter()
 
-    search_cut = cut_from_energy(trace.best_value, g)
-    final_cut = cut_from_energy(result.value, g)
+    def stage(energy: float, evals: int, **rest: object) -> dict[str, object]:
+        cut = cut_from_energy(energy, g)
+        return dict(energy=energy, expected_cut=cut, ratio=approximation_ratio(cut, optimal).ratio, evals=evals, **rest)
+
     report: dict[str, object] = {
         "command": "solve",
         "graph": _graph_summary(g),
@@ -172,20 +174,10 @@ def run_solve(
         "refine_config": dataclasses.asdict(refine_cfg),
         "optimal_cut": optimal,
         "optimal_coloring": list(colors),
-        "protes": {
-            "energy": trace.best_value,
-            "expected_cut": search_cut,
-            "ratio": approximation_ratio(search_cut, optimal).ratio,
-            "evals": trace.total_evals,
-            "iterations": len(trace.records),
-            "diagnostics": dict(trace.diagnostics),
-        },
-        "refine": {
-            "energy": result.value,
-            "expected_cut": final_cut,
-            "ratio": approximation_ratio(final_cut, optimal).ratio,
-            "evals": result.evals,
-        },
+        "protes": stage(
+            trace.best_value, trace.total_evals, iterations=len(trace.records), diagnostics=dict(trace.diagnostics)
+        ),
+        "refine": stage(result.value, result.evals),
         "theta": [float(x) for x in result.theta],
         "top_counts": _count_rows(g, counts, TOP_COUNT_ROWS),
     }
@@ -219,6 +211,8 @@ def hist_csv(g: Graph, theta: Sequence[float], shots: int, seed: int, backend: B
     """Counts for every observed bitstring, heaviest first, with decoded cuts."""
     if seed < 0:  # before any circuit runs; numpy's own refusal names no value
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if shots < 1:  # likewise, as solve does
+        raise ValueError(f"shots must be >= 1, got {shots}")
     params = ParameterVector.from_flat(theta)
     state = run_qaoa(make_instance(g, params.p, backend), params)
     counts = sample_counts(state, shots, np.random.default_rng(seed), color_dim=4**g.n)

@@ -218,7 +218,9 @@ def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) ->
 
 
 def _color_block(state: np.ndarray, color_dim: int, when: str) -> np.ndarray:
-    """Block 0 of reshape(-1, color_dim), after checking the other blocks hold no mass."""
+    """Color amplitudes of a 1-D state of color_dim or 4 * color_dim (ancillas, checked in |00>) entries, else raise."""
+    if state.ndim != 1 or state.size not in (color_dim, 4 * color_dim):
+        raise ValueError(f"state of shape {state.shape} is not ({color_dim},) or ({4 * color_dim},) {when}")
     if state.size == color_dim:
         return state
     blocks = state.reshape(-1, color_dim)
@@ -386,8 +388,7 @@ def _energies(plan: _Plan, thetas: np.ndarray) -> np.ndarray:
 
 def expectation(state: np.ndarray, cost: CostDiagonal) -> float:
     """<cost> in the current state; ancillas, if present, are checked to be in |00>, not traced out."""
-    _color_block(state, cost.values.size, "at measurement")
-    return float(np.abs(state[: cost.values.size]) ** 2 @ cost.values)
+    return float(np.abs(_color_block(state, cost.values.size, "at measurement")) ** 2 @ cost.values)
 
 
 def sample_counts(
@@ -398,6 +399,8 @@ def sample_counts(
     Returns {basis index: count} for outcomes with nonzero count, in
     ascending index order.  Deterministic for a fixed generator state.
     """
+    if not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = np.abs(_color_block(state, state.size if color_dim is None else color_dim, "at measurement")) ** 2

@@ -128,10 +128,6 @@ def right_marginals(t: TTDistribution) -> list[np.ndarray]:
     return z
 
 
-def total_mass(t: TTDistribution) -> float:
-    return float(right_marginals(t)[0][0])
-
-
 def _draw(
     t: TTDistribution,
     count: int,
@@ -236,20 +232,22 @@ def sample_squared_batch(
 
 
 class _GradKernel:
-    """Gradient terms of ln(value) for a fixed number of indices, in buffers reused by every run.
+    """Gradient terms of ln(value) at the rows of a checked (B, d) integer index array, in buffers reused by every run.
 
-    Row e of gathered holds index e's slice of every core, core k's
-    R_k x R_k+1 entries after core k-1's.  run writes index e's term for each
-    core, outer(prefix_k, suffix_k+1) / value_e, to row e of terms in the
-    same layout, so one division covers every core.  Values <= 0 divide as
-    VALUE_FLOOR.
+    Row e of gathered starts as a copy of index idx[e]'s slice of every core,
+    core k's R_k x R_k+1 entries after core k-1's.  run writes index e's term
+    for each core, outer(prefix_k, suffix_k+1) / value_e, to row e of terms in
+    the same layout, so one division covers every core.  Values <= 0 divide
+    as VALUE_FLOOR.
     """
 
-    def __init__(self, t: TTDistribution, count: int) -> None:
-        self.shapes = [(core.shape[0], core.shape[2]) for core in t.cores]
+    def __init__(self, t: TTDistribution, idx: np.ndarray) -> None:
+        self.shapes, count = [(core.shape[0], core.shape[2]) for core in t.cores], len(idx)
         width = sum(left * right for left, right in self.shapes)
         self.gathered, self.terms = np.empty((count, width)), np.empty((count, width))
         self.slices, self.term_views = self._views(self.gathered), self._views(self.terms)
+        for s, core, column in zip(self.slices, t.cores, idx.T):
+            s[...] = core[:, column, :].transpose(1, 0, 2)
         d = t.d
         ones = np.ones((count, 1, 1))
         # The boundary interfaces are ones, and a product with ones equals the other factor.  No
@@ -287,9 +285,7 @@ def log_value_grad(t: TTDistribution, idx: Sequence[int]) -> list[np.ndarray]:
     outer product of the prefix and suffix interfaces divided by the value.
     """
     idx = _check_index(t, idx)
-    kernel = _GradKernel(t, 1)
-    for s, core, i in zip(kernel.slices, t.cores, idx):
-        s[0] = core[:, i, :]
+    kernel = _GradKernel(t, np.array([idx]))
     values = kernel.run()
     if values[0] <= 0.0:
         raise ValueError(f"tensor value {values[0]} at {idx} is not positive; log-gradient undefined")
@@ -331,9 +327,7 @@ def ascent_step(
     # kernel's gathered rows, and of the rows with one node on axis k, one (its owner, from a table
     # over every axis's nodes) holds that slice of core k for all.  slot maps each gathered entry to
     # its place there; the terms scatter-add back through it, so a shared slice sums them in batch order.
-    kernel = _GradKernel(t, len(idx))
-    for s, core, column in zip(kernel.slices, t.cores, idx.T):
-        s[...] = core[:, column, :].transpose(1, 0, 2)
+    kernel = _GradKernel(t, idx)
     nodes = idx + np.cumsum((0, *t.shape[:-1]))
     owner = np.empty(nodes.max() + 1, dtype=np.intp)
     owner[nodes] = np.arange(len(idx))[:, None]

@@ -244,6 +244,15 @@ def test_main_solve_writes_artifacts(tmp_path):
     assert report["protes_config"]["budget"] == 40
     assert report["protes"]["evals"] <= 40
     assert report["refine"]["evals"] <= 300
+    # Every key, since perfbench/workloads.py reads protes.ratio, protes.evals, refine.ratio, refine.energy and
+    # refine.evals.
+    assert set(report) == {
+        "command", "graph", "depth", "backend", "seed", "shots", "protes_config", "refine_config",
+        "optimal_cut", "optimal_coloring", "protes", "refine", "theta", "top_counts",
+    }
+    stage = {"energy", "expected_cut", "ratio", "evals"}
+    assert set(report["protes"]) == stage | {"iterations", "diagnostics"}
+    assert set(report["refine"]) == stage
     diagnostics = report["protes"]["diagnostics"]
     assert set(diagnostics) == {"cache_hits", "clamped_values", "uniform_fallbacks"}
     assert all(type(v) is int and v >= 0 for v in diagnostics.values())
@@ -337,6 +346,16 @@ def test_main_hist_refuses_a_negative_seed_before_any_circuit(tmp_path, capsys, 
     graph = write(tmp_path, "g4.txt", G4_TEXT)
     assert main(["hist", "--graph", graph, "--theta", "0.72,2.85", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+def test_main_hist_refuses_zero_shots_before_any_circuit(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a circuit ran before the shots check")
+
+    monkeypatch.setattr(cli, "run_qaoa", unreachable)
+    graph = write(tmp_path, "g4.txt", G4_TEXT)
+    assert main(["hist", "--graph", graph, "--theta", "0.72,2.85", "--shots", "0"]) == 1
+    assert capsys.readouterr().err == "error: shots must be >= 1, got 0\n"
 
 
 def test_main_hist_theta_errors(tmp_path, capsys):

@@ -864,6 +864,18 @@ def test_measurement_rejects_ancilla_mass(measure):
         measure(np.zeros(inst.cost.values.size + 3, dtype=complex), inst)
 
 
+def test_measurement_names_a_malformed_state_shape():
+    # Only the color register, alone or with two ancillas, passes: any other shape is named, not read as ancilla mass.
+    cost = build_cost_diagonal(G4)
+    state = run_qaoa(make_instance(G4, 1), ParameterVector((0.6,), (0.5,)))
+    with pytest.raises(ValueError, match=re.escape("state of shape (2, 256) is not (256,) or (1024,) at measurement")):
+        expectation(np.stack([state, state]), cost)
+    with pytest.raises(ValueError, match=re.escape("state of shape (256,) is not (128,) or (512,) at measurement")):
+        sample_counts(state, 10, np.random.default_rng(0), color_dim=128)
+    with pytest.raises(ValueError, match=re.escape("state of shape (128,) is not (256,) or (1024,) at measurement")):
+        expectation(state[:128], cost)
+
+
 def test_energy_periodic_in_gamma():
     inst = make_instance(G4, 1)
     for gamma, beta in ((0.4, 1.1), (2.0, 0.3)):
@@ -899,6 +911,13 @@ def test_sample_counts_uniform_binomial():
         assert abs(counts.get(z, 0) - shots * 0.25) <= 5 * sigma
     with pytest.raises(ValueError):
         sample_counts(prepare_initial(1), 0, np.random.default_rng(0))
+
+
+def test_sample_counts_refuses_a_non_integer_shot_count():
+    state = prepare_initial(1)
+    with pytest.raises(ValueError, match=re.escape("shots must be an integer, got 10.5")):
+        sample_counts(state, 10.5, np.random.default_rng(0))
+    assert sum(sample_counts(state, np.int64(10), np.random.default_rng(0)).values()) == 10
 
 
 def test_sample_counts_deterministic_and_sorted():

@@ -24,7 +24,6 @@ from ttqaoa.tt import (
     sample_squared_batch,
     save_tt_text,
     suffix_grams,
-    total_mass,
     tt_value,
 )
 
@@ -264,14 +263,14 @@ def test_right_marginals_and_total_mass():
     ones = TTDistribution([np.ones((1, 3, 1)) for _ in range(3)])
     z = right_marginals(ones)
     assert [float(v[0]) for v in z] == [27.0, 9.0, 3.0, 1.0]
-    assert total_mass(ones) == 27.0
+    assert float(right_marginals(ones)[0][0]) == 27.0
 
     t = random_tt(3, 4, 3, np.random.default_rng(2))
     dense = dense_tensor(t)
-    assert abs(total_mass(t) - dense.sum()) <= 1e-10 * abs(dense.sum())
+    assert abs(float(right_marginals(t)[0][0]) - dense.sum()) <= 1e-10 * abs(dense.sum())
 
     single = TTDistribution([np.array([[[2.0], [3.0]]])])
-    assert total_mass(single) == 5.0
+    assert float(right_marginals(single)[0][0]) == 5.0
 
 
 def test_sample_point_mass():
