@@ -32,6 +32,7 @@ from .simulator import (
     ParameterVector,
     _energies,
     _Plan,
+    check_shots,
     energy_grid,
     expectation,
     make_instance,
@@ -134,8 +135,7 @@ def run_solve(
     shots_seed: int,
 ) -> tuple[dict[str, object], OptimizationTrace, RefineResult]:
     """Full pipeline on one graph; returns the report plus stage results."""
-    if shots < 1:  # before the search, which can take hours; sample_counts checks again
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)  # before the search, which can take hours; sample_counts checks again
     check_simplex_budget(refine_cfg.max_evals, 2 * depth)  # likewise; refine checks again
     inst = make_instance(g, depth, backend)  # likewise: depth, register size and weights
     check_gamma_period(inst.cost)
@@ -169,7 +169,7 @@ def run_solve(
         "depth": depth,
         "backend": backend.value,
         "seed": master_seed,
-        "shots": shots,
+        "shots": int(shots),  # a numpy integer passes check_shots but not json.dumps
         "protes_config": dataclasses.asdict(protes_cfg),
         "refine_config": dataclasses.asdict(refine_cfg),
         "optimal_cut": optimal,
@@ -211,8 +211,7 @@ def hist_csv(g: Graph, theta: Sequence[float], shots: int, seed: int, backend: B
     """Counts for every observed bitstring, heaviest first, with decoded cuts."""
     if seed < 0:  # before any circuit runs; numpy's own refusal names no value
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if shots < 1:  # likewise, as solve does
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)  # likewise, as solve does
     params = ParameterVector.from_flat(theta)
     state = run_qaoa(make_instance(g, params.p, backend), params)
     counts = sample_counts(state, shots, np.random.default_rng(seed), color_dim=4**g.n)

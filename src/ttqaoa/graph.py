@@ -7,6 +7,7 @@ starting with '#' and blank lines are ignored.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,29 +118,29 @@ def brute_force_max_cut(g: Graph, k: int) -> tuple[tuple[int, ...], float]:
 
     Enumerates all k**n colorings in lexicographic order (vertex 0 most
     significant) and returns the first coloring attaining the maximum, so
-    ties break to the lexicographically smallest optimal coloring.
+    ties break to the lexicographically smallest optimal coloring.  A chunk of
+    at most 2**16 colorings fixes a prefix and lays later vertices on axes (the
+    first on a run of colors), in C order; prefix-major chunks stay lexicographic.
     """
     if k < 1:
         raise ValueError(f"color count must be positive, got {k}")
-    total = k**g.n
-    if total > BRUTE_FORCE_LIMIT:
+    if k**g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"instance too large: {k}**{g.n} colorings exceed the {BRUTE_FORCE_LIMIT} guard")
 
-    place = [k ** (g.n - 1 - v) for v in range(g.n)]
-    best_value = -1.0
-    best_index = 0
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        z = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cuts = np.zeros(z.size)
+    full = max(t for t in range(g.n) if k**t <= 1 << 16)  # trailing vertices with all k colors in every chunk
+    lead, run = g.n - 1 - full, (1 << 16) // k**full  # vertex lead takes up to run colors per chunk
+    axes = [np.arange(k).reshape((k,) + (1,) * (g.n - 1 - v)) for v in range(lead + 1, g.n)]
+    best_value, best = -1.0, ()
+    for *prefix, first in itertools.product(*[range(k)] * lead, range(0, k, run)):
+        colors = (*prefix, np.arange(k)[first : first + run].reshape((-1,) + (1,) * full), *axes)
+        cuts = np.zeros(colors[lead].shape[:1] + (k,) * full)
         for i, j, w in g.edges:
-            cuts += w * ((z // place[i]) % k != (z // place[j]) % k)
+            cuts += w * (colors[i] != colors[j])
         pos = int(np.argmax(cuts))
-        if cuts[pos] > best_value:
-            best_value = float(cuts[pos])
-            best_index = start + pos
-    coloring = tuple((best_index // place[v]) % k for v in range(g.n))
-    return coloring, best_value
+        if cuts.flat[pos] > best_value:
+            at = np.unravel_index(pos, cuts.shape)
+            best_value, best = float(cuts.flat[pos]), (*prefix, *(c.ravel()[a] for c, a in zip(colors[lead:], at)))
+    return tuple(int(c) for c in best), best_value
 
 
 def approximation_ratio(expected_cut: float, optimal_cut: float) -> ApproximationReport:

@@ -1,10 +1,9 @@
 """Binary color encoding, the diagonal cost operator and the angle domain for max-3-cut.
 
 Each vertex color is held in two qubits; the two-bit strings 10 and 11 both
-decode to color 2.  Bit layout convention, used consistently by the decoder,
-the simulator, and all bitstring rendering: vertex i occupies bits (2i, 2i+1)
-of the basis index, with the high bit of the pair (bit 2i+1) being the first
-qubit of the pair, so vertex 0 sits in the least significant bit pair.
+decode to color 2.  The decoder, the simulator and all bitstring rendering put
+vertex i in bits (2i, 2i+1) of the basis index, high bit (2i+1) first, so vertex
+0 is the least significant pair and a (4,)*n view holds vertex i on axis n-1-i.
 
 Angle domain: beta is pi-periodic; gamma is 2*pi-periodic only when every two
 cost levels differ by an even integer (integer weights).  index_to_angles and
@@ -112,10 +111,10 @@ def build_cost_diagonal(g: Graph) -> CostDiagonal:
     """
     if 2 * g.n > MAX_QUBITS:
         raise ValueError(f"dense cost diagonal limited to {MAX_QUBITS} qubits, got {2 * g.n} for {g.n} vertices")
-    z = np.arange(4**g.n, dtype=np.int64)
-    values = np.zeros(z.size)
-    for i, j, w in g.edges:
-        values += w * _INTERACTION[(z >> (2 * i)) & 3, (z >> (2 * j)) & 3]
+    values = np.zeros(4**g.n)
+    grid = values.reshape((4,) * g.n)  # a view with vertex i's bit pair on axis n-1-i
+    for i, j, w in g.edges:  # i < j, so b_j's axis comes first and the table's rows are b_j
+        grid += (w * _INTERACTION.T).reshape([4 if v in (i, j) else 1 for v in reversed(range(g.n))])
     return CostDiagonal(values, g.n)
 
 

@@ -391,6 +391,14 @@ def expectation(state: np.ndarray, cost: CostDiagonal) -> float:
     return float(np.abs(_color_block(state, cost.values.size, "at measurement")) ** 2 @ cost.values)
 
 
+def check_shots(shots: int) -> None:
+    """Raise unless shots is an integer >= 1."""
+    if not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+
+
 def sample_counts(
     state: np.ndarray, shots: int, rng: np.random.Generator, color_dim: int | None = None
 ) -> dict[int, int]:
@@ -399,10 +407,7 @@ def sample_counts(
     Returns {basis index: count} for outcomes with nonzero count, in
     ascending index order.  Deterministic for a fixed generator state.
     """
-    if not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     probs = np.abs(_color_block(state, state.size if color_dim is None else color_dim, "at measurement")) ** 2
     probs = probs / probs.sum()
     counts = rng.multinomial(shots, probs)

@@ -309,7 +309,7 @@ def ascent_step(
     entry of a positive train decreases.  A value <= 0 (only entries <= 0
     give one) divides as VALUE_FLOOR, counted in the returned diagnostics:
     such a train's steps grow about 1e12-fold and can overflow within a few
-    rounds.
+    rounds, which raises ValueError and leaves the cores as they were.
     """
     if len(batch) == 0:
         raise ValueError("ascent batch must be non-empty")
@@ -334,14 +334,17 @@ def ascent_step(
     width, sizes = kernel.gathered.shape[1], [s.shape[1] * s.shape[2] for s in kernel.slices]
     compact, slot = kernel.gathered.ravel().copy(), np.repeat(owner[nodes] * width, sizes, axis=1) + np.arange(width)
     diagnostics = {"clamped_values": 0}
-    for _ in range(step_count):
-        np.take(compact, slot, out=kernel.gathered, mode="clip")  # "clip" writes out directly; no copy
-        values = kernel.run()
-        diagnostics["clamped_values"] += int(np.count_nonzero(values <= 0.0))
-        # bincount adds each weight in turn onto zeros, as np.add.at does, at a fraction of its cost.
-        grad = np.bincount(slot.ravel(), kernel.terms.ravel(), compact.size)
-        grad *= learning_rate
-        compact += grad
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, before the cores change
+        for _ in range(step_count):
+            np.take(compact, slot, out=kernel.gathered, mode="clip")  # "clip" writes out directly; no copy
+            values = kernel.run()
+            diagnostics["clamped_values"] += int(np.count_nonzero(values <= 0.0))
+            # bincount adds each weight in turn onto zeros, as np.add.at does, at a fraction of its cost.
+            grad = np.bincount(slot.ravel(), kernel.terms.ravel(), compact.size)
+            grad *= learning_rate
+            compact += grad
+    if not np.isfinite(compact).all():  # checked once: a non-finite entry stays non-finite in later rounds
+        raise ValueError(f"non-finite core entries after {step_count} steps of ascent; the cores are left unchanged")
     # A full-core update adds learning_rate * 0.0 to every untouched entry, which leaves it as it is
     # for a finite rate (bar a -0.0 entry, which ascent never produces): writing back only the
     # batch's slices ends bit-identical to one.

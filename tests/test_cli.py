@@ -406,6 +406,21 @@ def test_main_solve_refuses_bad_shots_before_any_stage(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == f"error: shots must be >= 1, got {shots}\n"
 
 
+def test_run_solve_refuses_a_non_integer_shot_count_before_any_stage(monkeypatch):
+    # argparse parses --shots as an int, so only an API caller can pass a float.
+    monkeypatch.setattr(cli, "brute_force_max_cut", lambda *args: pytest.fail("the brute force ran"))
+    protes_cfg, refine_cfg, shots_seed = build_configs({}, 0)
+    for shots in (10.5, 2.0):
+        with pytest.raises(ValueError, match=f"^shots must be an integer, got {shots}$"):
+            cli.run_solve(G4, 2, Backend.DIAGONAL, protes_cfg, refine_cfg, 0, shots, shots_seed)
+
+
+def test_run_solve_reports_a_numpy_integer_shot_count():
+    protes_cfg, refine_cfg, shots_seed = build_configs(parse_config_text(TINY_CONFIG), 0)
+    report, _, _ = cli.run_solve(G4, 1, Backend.DIAGONAL, protes_cfg, refine_cfg, 0, np.int64(64), shots_seed)
+    assert json.loads(report_to_json(report))["shots"] == 64
+
+
 def test_main_solve_refuses_a_small_refinement_budget_before_any_stage(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a solve stage ran before the refinement budget check")

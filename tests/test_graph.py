@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,22 @@ def oracle_max_cut(g, k):
         elif abs(value - best) <= 1e-12:
             winners.append(colors)
     return min(winners), float(best)
+
+
+def ref_brute_force(g, k):
+    """The former label enumeration: labels 0..k**n-1 in chunks of 2**16, each color decoded by division."""
+    total = k**g.n
+    place = [k ** (g.n - 1 - v) for v in range(g.n)]
+    best_value, best_index = -1.0, 0
+    for start in range(0, total, 1 << 16):
+        z = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        cuts = np.zeros(z.size)
+        for i, j, w in g.edges:
+            cuts += w * ((z // place[i]) % k != (z // place[j]) % k)
+        pos = int(np.argmax(cuts))
+        if cuts[pos] > best_value:
+            best_value, best_index = float(cuts[pos]), start + pos
+    return tuple((best_index // place[v]) % k for v in range(g.n)), best_value
 
 
 def random_graph(rng, n, integer_weights=True):
@@ -149,6 +166,55 @@ def test_brute_force_vs_independent_oracle():
         for _ in range(20):
             candidate = tuple(int(c) for c in rng.integers(0, 3, g.n))
             assert cut_value(g, candidate) <= value + 1e-12
+
+
+def test_brute_force_matches_label_enumeration_reference():
+    rng = np.random.default_rng(37)
+    weights = (
+        lambda: float(rng.integers(1, 5)),
+        lambda: float(rng.integers(0, 2)),
+        lambda: float(rng.uniform(0.05, 3.0)),
+        lambda: 0.7,
+    )
+    graphs = [Graph(n, ()) for n in range(1, 8)]
+    for n in range(2, 8):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for draw in weights:
+            for _ in range(3):
+                keep = [pairs[e] for e in rng.permutation(len(pairs)) if rng.random() < 0.6]
+                graphs.append(Graph(n, tuple((i, j, draw()) for i, j in keep)))
+    for g in graphs:
+        for k in range(1, 5):
+            coloring, value = brute_force_max_cut(g, k)
+            assert (coloring, value) == ref_brute_force(g, k)
+            assert all(type(c) is int for c in coloring) and type(value) is float
+
+
+def test_brute_force_multi_chunk_ties_match_reference():
+    # 3**11 colorings run over several chunks, and each optimum's color permutations tie in later chunks.
+    rng = np.random.default_rng(41)
+    pairs = [(i, j) for i in range(11) for j in range(i + 1, 11)]
+    sparse = Graph(11, tuple((i, j, 1.0) for i, j in pairs if rng.random() < 0.2))
+    weighted = Graph(11, tuple((i, j, float(rng.integers(0, 3))) for i, j in pairs if rng.random() < 0.3))
+    assert 3**11 > 2 * (1 << 16)
+    for g in (Graph(11, ()), sparse, weighted):
+        assert brute_force_max_cut(g, 3) == ref_brute_force(g, 3)
+    # 5**8 colorings: a chunk holds 5**6 of them per color of vertex 1, which takes colors 0-3, then 4.
+    five = Graph(8, tuple((i, j, float(rng.integers(1, 4))) for i, j in pairs if j < 8 and rng.random() < 0.4))
+    assert brute_force_max_cut(five, 5) == ref_brute_force(five, 5)
+
+
+def test_brute_force_peak_memory_on_k12():
+    k12 = random_complete_graph(12, 3)
+    brute_force_max_cut(random_complete_graph(4, 3), 3)
+    tracemalloc.start()
+    try:
+        brute_force_max_cut(k12, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The label enumeration peaked at 2.50 MiB here; a chunk's cut table is 3**10 floats (0.45 MiB).
+    assert peak < 2.5 * 2**20
 
 
 def test_brute_force_guard():

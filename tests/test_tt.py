@@ -646,6 +646,26 @@ def test_ascent_step_argument_guards():
             ascent_step(t, batch, 0.01, 1)
 
 
+def test_ascent_step_refuses_an_overflowing_batch_and_leaves_the_cores():
+    # A signed train whose clamped values step by about 1 / VALUE_FLOOR: the third round overflows.
+    t = signed_tt(7, 7, 2, 15)
+    batch = [(0, 0, 0, 1, 0, 0, 0), (1, 1, 0, 1, 1, 0, 1), (1, 1, 1, 1, 0, 0, 1), (0, 0, 1, 0, 1, 1, 1),
+             (0, 1, 1, 1, 0, 1, 0), (1, 0, 0, 1, 1, 0, 1)]
+    overflowed = copy_tt(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full_core_ascent_step(overflowed, batch, 0.3, 3)
+    assert not all(np.isfinite(core).all() for core in overflowed.cores)
+    before = [core.tobytes() for core in t.cores]
+    for steps in (3, 5):
+        with pytest.raises(ValueError, match=f"^non-finite core entries after {steps} steps of ascent"):
+            ascent_step(t, batch, 0.3, steps)
+        assert [core.tobytes() for core in t.cores] == before
+    # Two rounds stay finite and step as the full-core loop does.
+    want = copy_tt(t)
+    assert ascent_step(t, batch, 0.3, 2) == full_core_ascent_step(want, batch, 0.3, 2)
+    assert [core.tobytes() for core in t.cores] == [core.tobytes() for core in want.cores]
+
+
 def test_ascent_step_names_the_first_bad_index_of_a_later_row():
     # The batch is checked as one array; a bad entry still gets the per-index message naming it and its axis.
     t = random_tt(2, 3, 2, np.random.default_rng(18))
