@@ -41,6 +41,8 @@ class ProtesConfig:
         for key in ("rank", "batch_size", "elite_count", "ascent_steps", "nodes_per_dim", "budget", "seed"):
             if not isinstance(getattr(self, key), (int, np.integer)):
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        if self.seed < 0:  # numpy's seeding would refuse it later without naming the field
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not 1 <= self.elite_count <= self.batch_size:

@@ -32,8 +32,8 @@ class RefineConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.max_evals, (int, np.integer)) and self.max_evals >= 2):
             raise ValueError(f"max_evals must be an integer >= 2, got {self.max_evals!r}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         for key in ("initial_step", "tol"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0.0):
@@ -64,14 +64,14 @@ def _nelder_mead(start: np.ndarray, config: RefineConfig) -> Generator[np.ndarra
 
     points, values = yield from build_simplex(start, np.eye(dim))
     while True:
-        order = np.argsort(values, kind="stable")
+        order = values.argsort(kind="stable")
         points, values = points[order], values[order]
         if values[-1] - values[0] < config.tol:
             return
-        if np.max(np.abs(points[1:] - points[0])) < DEGENERATE_EXTENT:
+        if np.maximum.reduce(np.abs(points[1:] - points[0]), axis=None) < DEGENERATE_EXTENT:
             points, values = yield from build_simplex(points[0], rng.standard_normal((dim, dim)))
             continue
-        centroid = points[:-1].mean(axis=0)
+        centroid = np.add.reduce(points[:-1], axis=0) / dim  # np.mean's arithmetic; reduce skips the wrappers
         step = centroid - points[-1]
         reflected = centroid + step
         f_reflected = yield reflected

@@ -48,8 +48,8 @@ from .graph import Graph
 from .qaoa_model import MAX_QUBITS, CostDiagonal, build_cost_diagonal
 
 NORM_TOL = 1e-10
-# Amplitudes per stacked call in energy_grid and _energies: up to 2**12 (n <= 6) call overhead dominates.
-STACK_AMPLITUDES = 1 << 12
+# Amplitudes per stacked call in energy_grid and _energies: call overhead dominates, and a 20-row n=4 search batch fits.
+STACK_AMPLITUDES = 1 << 13
 
 
 class Backend(str, enum.Enum):
@@ -127,37 +127,39 @@ def _check_qubits(state: np.ndarray, *qubits: int) -> int:
 
 # Hamming distance between 4-bit block indices; its top-left 4x4 serves the one-vertex block.
 _HAMMING = np.array([[bin(j ^ k).count("1") for k in range(16)] for j in range(16)])
-# Per mixer block width q: the exponents of cos (q - h) and -i*sin (h) for h = 0..q, and the Hamming gather.
-_BLOCK_TERMS = {q: (q - np.arange(q + 1), np.arange(q + 1), _HAMMING[: 1 << q, : 1 << q]) for q in (2, 4)}
+# Per block width q: cos's exponents q - h and -i*sin's h (h = 0..q), in their powers' dtypes, and the Hamming gather.
+_BLOCK_TERMS = {q: (q - np.arange(q + 1.0), np.arange(q + 1.0) + 0j, _HAMMING[: 1 << q, : 1 << q]) for q in (2, 4)}
 
 
 def _mixer_blocks(betas: np.ndarray, n: int) -> list[np.ndarray]:
-    """exp(-i*beta*X) per mixer block of n vertices (q = 4 qubits per two, 2 for the last of odd n), in order.
+    """exp(-i*beta*X) per mixer block width of n vertices: q = 4 qubits for two vertices, then q = 2 if n is odd.
 
     Each is a (*betas.shape, 2**q, 2**q) stack, cos**(q-h) * (-i*sin)**h at Hamming distance h: take, unlike an
     index gather, keeps the beta axes outermost, so every matrix of a stack takes a lone matrix's BLAS path.
     """
-    betas, widths = np.asarray(betas)[..., None], [4] * (n // 2) + [2] * (n % 2)
-    cos, sin, terms = np.cos(betas), -1j * np.sin(betas), {q: _BLOCK_TERMS[q] for q in set(widths)}
-    blocks = {q: (np.float_power(cos, c) * np.power(sin, s)).take(h, axis=-1) for q, (c, s, h) in terms.items()}
-    return [blocks[q] for q in widths]
+    betas = np.asarray(betas)[..., None]
+    cos, sin = np.cos(betas), -1j * np.sin(betas)
+    terms = [_BLOCK_TERMS[q] for q in (4,) * (n > 1) + (2,) * (n % 2)]
+    return [(np.float_power(cos, c) * np.power(sin, s)).take(h, axis=-1) for c, s, h in terms]
 
 
-def _mix_passes(state: np.ndarray, scratch: np.ndarray, matrices: list, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per block of a mixer on a (B, D) stack that starts in state, the (src, dst) views of its matmul."""
+def _mix_passes(state: np.ndarray, scratch: np.ndarray, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per block of an n-vertex mixer on a (B, D) stack that starts in state: its width's place in _mixer_blocks (0
+    for two vertices, -1 for the last of odd n) and the (src, dst) views of its matmul."""
     rows, passes = len(state), []
-    for m in matrices:
-        size, rest = m.shape[-1], 4**n // m.shape[-1]
-        passes.append((state.reshape(rows, -1, rest, size).swapaxes(2, 3), scratch.reshape(rows, -1, size, rest)))
+    for k, size in [(0, 16)] * (n // 2) + [(-1, 4)] * (n % 2):
+        rest = 4**n // size
+        passes.append((k, state.reshape(rows, -1, rest, size).swapaxes(2, 3), scratch.reshape(rows, -1, size, rest)))
         state, scratch = scratch, state
     return passes
 
 
 def _mix(state: np.ndarray, scratch: np.ndarray, matrices: list, n: int, passes: list | None = None) -> tuple:
-    """Mix a (B, D) stack, one matmul per (B, 1, 2**q, 2**q) block stack lifting its bits to the top: (mixed, free)."""
-    for m, (src, dst) in zip(matrices, passes or _mix_passes(state, scratch, matrices, n)):
-        np.matmul(m, src, out=dst)
-    return (scratch, state) if len(matrices) % 2 else (state, scratch)
+    """Mix a (B, D) stack by its per-width matrices, one matmul per block lifting its bits to the top: (mixed, free)."""
+    passes = passes or _mix_passes(state, scratch, n)
+    for k, src, dst in passes:
+        np.matmul(matrices[k], src, out=dst)
+    return (scratch, state) if len(passes) % 2 else (state, scratch)
 
 
 def _view(state: np.ndarray, q: int, bits: dict[int, int | slice]) -> np.ndarray:
@@ -271,7 +273,7 @@ class _Plan:
             inst.cost.levels  # built now, so the level sort's temporaries are freed before any buffer exists
         self.state = self.scratch = np.empty((0, 1 << _register_qubits(inst.graph.n, inst.backend)), dtype=complex)
         self.rows = max(1, STACK_AMPLITUDES // self.state.shape[1])
-        self.views: dict[int, tuple] = {}  # per row count: the buffers' leading rows and, by id, their _mix_passes
+        self.views: dict[int, tuple] = {}  # per row count: the buffers' leading rows and each layer's _mix_passes
 
     def run(self, thetas: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """The p layers and _measure on one register per row of (B, 2p) flat angles, B <= rows.
@@ -281,17 +283,19 @@ class _Plan:
         inst, n, p = self.inst, self.inst.graph.n, self.inst.depth
         if thetas.ndim != 2 or thetas.shape[1] != 2 * p:
             raise ValueError(f"angle array shape {thetas.shape} does not match (B, {2 * p})")
-        count, blocks = len(thetas), _mixer_blocks(thetas[:, p:].T[..., None], n)
+        count = len(thetas)
         if len(self.state) < count:
             self.state, self.scratch = (np.empty((count, self.state.shape[1]), dtype=complex) for _ in range(2))
             self.views = {}  # views into the old buffers would keep them alive
         if count not in self.views:
             pair = self.state[:count], self.scratch[:count]
-            self.views[count] = pair, {id(a): _mix_passes(a, b, blocks, n) for a, b in (pair, pair[::-1])}
+            cycle = _mix_passes(*pair, n), _mix_passes(*pair[::-1], n)  # layer l starts where l mixers end
+            self.views[count] = pair, [cycle[layer * len(cycle[0]) % 2] for layer in range(p)]
         (state, scratch), passes = self.views[count]
-        for layer, (phases, *matrices) in enumerate(zip(_layer_phases(inst, thetas[:, :p].T[..., None]), *blocks)):
+        tables, blocks = _layer_phases(inst, thetas[:, :p].T[..., None]), _mixer_blocks(thetas[:, p:].T[..., None], n)
+        for layer, (phases, layer_passes, *matrices) in enumerate(zip(tables, passes, *blocks)):
             _phase_layer(inst, state, phases, scratch, uniform=not layer)
-            state, scratch = _mix(state, scratch, matrices, n, passes[id(state)])
+            state, scratch = _mix(state, scratch, matrices, n, layer_passes)
         return state, _measure(state, inst.cost, scratch)
 
 
@@ -305,14 +309,16 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
 
 def _layer_phases(inst: QaoaInstance, gammas: np.ndarray):
     """Per layer of (p, B, 1) gammas, what _phase_layer takes: GATE's (B, 1) column, or DIAGONAL's (B, L) phases
-    exp(-0.5j * gamma * level) of the L cost levels, D // L layers per exp so that the table stays within a state."""
+    exp(-0.5j * gamma * level) of the L cost levels, exped in one call for up to D // L layers, so that the table stays
+    within a state, and in chunks of D // L layers beyond."""
     if inst.backend is Backend.GATE:
-        yield from gammas
-        return
+        return gammas
     per_exp = max(1, inst.cost.values.size // inst.cost.levels[0].size)
-    for start in range(0, len(gammas), per_exp):
-        table = -0.5j * gammas[start : start + per_exp] * inst.cost.levels[0]
-        yield from np.exp(table, out=table)
+    if len(gammas) > per_exp:
+        starts = range(0, len(gammas), per_exp)
+        return (phases for start in starts for phases in _layer_phases(inst, gammas[start : start + per_exp]))
+    table = -0.5j * gammas * inst.cost.levels[0]
+    return np.exp(table, out=table)
 
 
 def _phase_layer(inst: QaoaInstance, rows: np.ndarray, phases: np.ndarray, out, uniform: bool = False) -> None:

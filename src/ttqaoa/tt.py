@@ -148,12 +148,13 @@ def _draw(
         raise ValueError(f"sample count must be >= 1, got {count}")
     uniforms = rng.random((count, t.d))
     draws = np.empty((count, t.d), dtype=np.intp)
-    phi, rows = np.ones((count, 1)), np.arange(count)
+    # Every draw starts from phi = 1, so axis 0's conditional is one row, read by all (rows maps draws to rows).
+    phi, rows = np.ones((1, 1)), np.zeros(count, dtype=np.intp)
     for k, core in enumerate(t.cores):
         left, nodes, right = core.shape
-        vecs = (phi @ core.reshape(left, nodes * right)).reshape(count * nodes, right)
+        vecs = (phi @ core.reshape(left, nodes * right)).reshape(-1, right)
         weights = ((vecs @ suffix[k + 1]) * vecs) @ np.ones(right) if squared else vecs @ suffix[k + 1]
-        weights = np.maximum(weights, 0.0, out=weights).reshape(count, nodes)
+        weights = np.maximum(weights, 0.0, out=weights).reshape(len(phi), nodes)
         mass = weights.sum(axis=1)
         if not mass.max() < math.inf:  # NaN fails too
             raise ValueError(f"non-finite conditional weight in axis {k}")
@@ -162,11 +163,11 @@ def _draw(
             weights[vanished] = 1.0
             mass[vanished] = nodes
             if diagnostics is not None:
-                diagnostics["uniform_fallbacks"] = diagnostics.get("uniform_fallbacks", 0) + int(vanished.sum())
+                diagnostics["uniform_fallbacks"] = diagnostics.get("uniform_fallbacks", 0) + int(vanished[rows].sum())
         cdf = np.cumsum(weights / mass[:, None], axis=1)
         cdf /= cdf[:, -1:]
         draws[:, k] = (cdf <= uniforms[:, k, None]).sum(axis=1)
-        phi = vecs.reshape(count, nodes, right)[rows, draws[:, k]]
+        phi, rows = vecs.reshape(len(phi), nodes, right)[rows, draws[:, k]], np.arange(count)
         peak = np.abs(phi).max(axis=1, keepdims=True)
         phi /= np.where(peak > 0.0, peak, 1.0)
     return [tuple(row) for row in draws.tolist()]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttqaoa import cli
+from ttqaoa import cli, simulator
 from ttqaoa.cli import (
     DEFAULT_SHOTS,
     build_configs,
@@ -18,6 +19,7 @@ from ttqaoa.cli import (
     report_to_json,
 )
 from ttqaoa.graph import cut_value, load_graph, parse_edge_list, random_complete_graph, total_weight
+from ttqaoa.protes import ProtesConfig
 from ttqaoa.qaoa_model import build_cost_diagonal, cut_from_energy, index_to_angles
 from ttqaoa.simulator import Backend, ParameterVector, expectation, make_instance, run_qaoa
 from ttqaoa.tt import load_tt_text
@@ -152,11 +154,11 @@ def landscape_reference(g, resolution, backend):
 @pytest.mark.parametrize(
     "graph, resolution, backend",
     [
-        # 256 amplitudes: the 7 betas fit in one call under the 16-row cap.
+        # 256 amplitudes: the 7 betas fit in one call under the 32-row cap.
         (G4, 7, Backend.DIAGONAL),
-        # 1,024-amplitude color block: 4-row calls, and a 1-row tail.
-        (K5_WEIGHTED, 5, Backend.GATE),
-        # 4,096 amplitudes and more: one row per call.
+        # 1,024-amplitude color block: 8-row calls, and a 1-row tail.
+        (K5_WEIGHTED, 9, Backend.GATE),
+        # 4,096 amplitudes: two rows per call, and at resolution 3 a 1-row tail.
         (random_complete_graph(6, 11), 4, Backend.DIAGONAL),
         (random_complete_graph(6, 12), 3, Backend.GATE),
     ],
@@ -419,6 +421,27 @@ def test_run_solve_reports_a_numpy_integer_shot_count():
     protes_cfg, refine_cfg, shots_seed = build_configs(parse_config_text(TINY_CONFIG), 0)
     report, _, _ = cli.run_solve(G4, 1, Backend.DIAGONAL, protes_cfg, refine_cfg, 0, np.int64(64), shots_seed)
     assert json.loads(report_to_json(report))["shots"] == 64
+
+
+def test_default_search_batches_reach_the_plan_as_one_stack(monkeypatch):
+    # A default batch at p=4 on G4 is up to 20 fresh rows of 256 amplitudes, within STACK_AMPLITUDES: each must
+    # reach _Plan.run as one call, not as a 16-row and a 4-row stack.
+    real_run, rows = simulator._Plan.run, []
+
+    def recording_run(plan, thetas):
+        rows.append(len(thetas))
+        return real_run(plan, thetas)
+
+    monkeypatch.setattr(simulator._Plan, "run", recording_run)
+    protes_cfg, refine_cfg, shots_seed = build_configs({"max_evals": 10}, 0)
+    assert protes_cfg == dataclasses.replace(ProtesConfig(), seed=protes_cfg.seed)
+    _, trace, result = cli.run_solve(G4, 4, Backend.DIAGONAL, protes_cfg, refine_cfg, 0, 64, shots_seed)
+    # Refinement runs one row per evaluation, and the final state one more.
+    search, rest = rows[: -result.evals - 1], rows[-result.evals - 1 :]
+    assert rest == [1] * (result.evals + 1)
+    evals = [0] + [record.evals for record in trace.records]
+    assert search == [now - before for before, now in zip(evals, evals[1:]) if now > before]
+    assert search[0] == 20 and trace.total_evals == protes_cfg.budget
 
 
 def test_main_solve_refuses_a_small_refinement_budget_before_any_stage(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ def test_config_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="learning_rate"):
             ProtesConfig(learning_rate=bad)
+
+
+def test_config_refuses_a_negative_seed_by_name():
+    # Unrefused, optimize(f, 2, ProtesConfig(seed=-1)) fails inside numpy's seeding, naming no field.
+    for bad in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be >= 0, got {bad}")):
+            ProtesConfig(seed=bad)
 
 
 def test_index_to_angles():

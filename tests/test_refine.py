@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -31,6 +32,13 @@ def test_config_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=key):
                 RefineConfig(**{key: bad})
+
+
+def test_config_refuses_a_negative_seed_by_name():
+    # Unrefused, refine(f, [0.1, 0.2], RefineConfig(seed=-1)) fails inside numpy's seeding, naming no field.
+    for bad in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {bad!r}")):
+            RefineConfig(seed=bad)
 
 
 def test_wrap_angles():

@@ -318,8 +318,8 @@ def reference_mixer_block(betas, q):
 
 
 def reference_mixer_blocks(betas, n):
-    """The per-block list that _mixer_blocks returns, from the Python terms."""
-    return [reference_mixer_block(betas, min(4, 2 * n - low)) for low in range(0, 2 * n, 4)]
+    """The per-width list that _mixer_blocks returns, from the Python terms: two-vertex blocks, then odd n's last."""
+    return [reference_mixer_block(betas, q) for q in (4,) * (n > 1) + (2,) * (n % 2)]
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -366,9 +366,9 @@ def test_energy_grid_shape_and_guards():
 @pytest.mark.parametrize(
     "graph, backend, shapes",
     [
-        (G4, Backend.DIAGONAL, [(16, 256), (4, 256)]),
-        (random_complete_graph(5, 2), Backend.GATE, [(4, 1024)] * 5),
-        (random_complete_graph(6, 3), Backend.DIAGONAL, [(1, 4096)] * 20),
+        (G4, Backend.DIAGONAL, [(32, 256), (8, 256)]),
+        (random_complete_graph(5, 2), Backend.GATE, [(8, 1024)] * 5),
+        (random_complete_graph(6, 3), Backend.DIAGONAL, [(2, 4096)] * 20),
     ],
     ids=["g4-diagonal", "n5-gate", "n6-diagonal"],
 )
@@ -382,7 +382,7 @@ def test_energy_grid_caps_rows_per_mixer_call(monkeypatch, graph, backend, shape
         return real_mix(state, scratch, matrices, n)
 
     monkeypatch.setattr(simulator, "_mix", recording_mix)
-    energy_grid(make_instance(graph, 1, backend), [0.4], np.linspace(0.0, 3.0, 20))
+    energy_grid(make_instance(graph, 1, backend), [0.4], np.linspace(0.0, 3.0, 40))
     assert seen == shapes
 
 
@@ -527,22 +527,22 @@ def test_stacked_energies_equal_one_circuit_per_row(n):
     rng = np.random.default_rng(40 + n)
     for p in (1, 2, 3):
         inst = make_instance(inst_graph, p)
-        # 16 and 17 straddle the G4 row cap; n=6 runs one row per stack.
-        for count in (1, 5, 16, 17, 40):
+        # 32 and 33 straddle the n=4 row cap; n=6 runs two rows per stack.
+        for count in (1, 5, 32, 33, 40):
             assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
 
 
 @pytest.mark.parametrize("graph", [G4, random_complete_graph(4, 4)], ids=["g4", "k4-weighted"])
 def test_refinement_circuit_equals_reference_bit_for_bit(graph):
-    # A default solve runs p=4 at n=4: one row per refinement call and 16-row search stacks, on grid
-    # angles (node 0 is angle 0) and off them.
+    # A default solve runs p=4 at n=4: one row per refinement call and 20-row search stacks, on grid
+    # angles (node 0 is angle 0) and off them; 32 and 33 rows straddle the row cap.
     inst = make_instance(graph, 4)
     rng = np.random.default_rng(49)
     plan = _Plan(inst)
-    for count in (1, 16, 17):
+    for count in (1, 20, 32, 33):
         for thetas in (rng.uniform(0.0, 2 * math.pi, (count, 8)), TWO_PI * rng.integers(0, 100, (count, 8)) / 100):
             assert_energies_match_reference(inst, thetas)
-            rows, _ = plan.run(thetas[:16])
+            rows, _ = plan.run(thetas[:32])
             for row, t in zip(rows, thetas):
                 want = reference_run(inst, ParameterVector.from_flat(t))
                 assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
@@ -550,11 +550,11 @@ def test_refinement_circuit_equals_reference_bit_for_bit(graph):
 
 def test_stacked_energies_gate_backend_equal_reference():
     rng = np.random.default_rng(47)
-    # K3's 256-amplitude gate register stacks 16 rows, G4's 1,024 stack 4.
+    # K3's 256-amplitude gate register stacks 32 rows, G4's 1,024 stack 8.
     for graph in (K3, G4):
         for p in (1, 2, 3):
             inst = make_instance(graph, p, Backend.GATE)
-            for count in (1, 5, 17):
+            for count in (1, 5, 17, 33):
                 assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
 
 
@@ -596,15 +596,15 @@ def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
         return real_mix(state, scratch, matrices, n, passes)
 
     monkeypatch.setattr(simulator, "_mix", recording_mix)
-    _energies(_Plan(make_instance(G4, 2)), np.zeros((17, 4)))
-    assert seen == [(16, 256)] * 2 + [(1, 256)] * 2
+    _energies(_Plan(make_instance(G4, 2)), np.zeros((33, 4)))
+    assert seen == [(32, 256)] * 2 + [(1, 256)] * 2
     seen.clear()
     _energies(_Plan(make_instance(random_complete_graph(7, 0), 1)), np.zeros((2, 2)))
     assert seen == [(1, 4**7)] * 2
     seen.clear()
-    # The gate register carries two ancillas: 1,024 amplitudes on G4, so 4 rows per stack.
+    # The gate register carries two ancillas: 1,024 amplitudes on G4, so 8 rows per stack.
     _energies(_Plan(make_instance(G4, 2, Backend.GATE)), np.zeros((17, 4)))
-    assert seen == [(4, 1024)] * 8 + [(1, 1024)] * 2
+    assert seen == [(8, 1024)] * 4 + [(1, 1024)] * 2
     for bad in (np.zeros((3, 3)), np.zeros(4), np.zeros((1, 2, 4))):
         with pytest.raises(ValueError):
             _energies(_Plan(make_instance(G4, 2)), bad)
@@ -742,6 +742,33 @@ def test_phase_full_period_is_global_phase():
     ratio = shifted[0] / state[0]
     assert abs(abs(ratio) - 1.0) < 1e-12
     assert np.allclose(shifted, ratio * state, atol=1e-12)
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("graph_name", ["g4.edgelist", "k5_weighted.edgelist"])
+def test_energy_keeps_the_angle_symmetries(graph_name, backend):
+    # Each beta_l has period pi, as RX(b + pi) on 2n qubits is (-1)**(2n) RX(b); E(-theta) = E(theta), as the start,
+    # the cost and X are real; and integer weights give each gamma_l period 2*pi.  The search grid and refine's
+    # wrap_angles rest on the last.
+    graph = load_graph(str(GRAPHS / graph_name))
+    rng = np.random.default_rng(81)
+    for p in range(1, 5):
+        plan = _Plan(make_instance(graph, p, backend))
+        eye = np.eye(2 * p)
+        for theta in rng.uniform(0.0, TWO_PI, (3, 2 * p)):
+            variants = np.vstack([theta, -theta, theta + math.pi * eye[p:], theta + TWO_PI * eye[:p]])
+            energies = _energies(plan, variants)
+            assert np.max(np.abs(energies - energies[0])) < 1e-13
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_fractional_weights_break_the_gamma_period(backend):
+    # Weights 0.5, 1.3 and 1.0 give cost levels an odd or fractional distance apart, so gamma + 2*pi is another
+    # circuit (solve refuses such graphs); the beta period and time reversal do not rest on the weights.
+    inst = make_instance(parse_edge_list("3 3\n0 1 0.5\n1 2 1.3\n0 2 1.0"), 1, backend)
+    energies = _energies(_Plan(inst), [[0.7, 0.4], [0.7 + TWO_PI, 0.4], [0.7, 0.4 + math.pi], [-0.7, -0.4]])
+    assert energies[0] == pytest.approx(1.1218, abs=1e-4) and energies[1] == pytest.approx(-1.1861, abs=1e-4)
+    assert np.max(np.abs(energies[2:] - energies[0])) < 1e-13
 
 
 def test_gate_phase_matches_diagonal_up_to_global_phase():
