@@ -48,7 +48,7 @@ from .graph import Graph
 from .qaoa_model import MAX_QUBITS, CostDiagonal, build_cost_diagonal
 
 NORM_TOL = 1e-10
-# Amplitudes per stacked call in energy_grid and _energies: call overhead dominates, and a 20-row n=4 search batch fits.
+# Amplitudes per stacked call in energy_grid and _energies: a 20-row n=4 search batch ran faster as one call than 16+4.
 STACK_AMPLITUDES = 1 << 13
 
 
@@ -131,24 +131,27 @@ _HAMMING = np.array([[bin(j ^ k).count("1") for k in range(16)] for j in range(1
 _BLOCK_TERMS = {q: (q - np.arange(q + 1.0), np.arange(q + 1.0) + 0j, _HAMMING[: 1 << q, : 1 << q]) for q in (2, 4)}
 
 
+def _mixer_layout(n: int) -> list[tuple[int, int]]:
+    """Per block of an n-vertex mixer, in order: (k, q), its matrix's place in _mixer_blocks and its width in qubits."""
+    return [(0, 4)] * (n // 2) + [(-1, 2)] * (n % 2)
+
+
 def _mixer_blocks(betas: np.ndarray, n: int) -> list[np.ndarray]:
-    """exp(-i*beta*X) per mixer block width of n vertices: q = 4 qubits for two vertices, then q = 2 if n is odd.
+    """exp(-i*beta*X) per block width of an n-vertex mixer, in _mixer_layout's order.
 
     Each is a (*betas.shape, 2**q, 2**q) stack, cos**(q-h) * (-i*sin)**h at Hamming distance h: take, unlike an
     index gather, keeps the beta axes outermost, so every matrix of a stack takes a lone matrix's BLAS path.
     """
-    betas = np.asarray(betas)[..., None]
+    betas, widths = np.asarray(betas)[..., None], dict.fromkeys(q for _, q in _mixer_layout(n))
     cos, sin = np.cos(betas), -1j * np.sin(betas)
-    terms = [_BLOCK_TERMS[q] for q in (4,) * (n > 1) + (2,) * (n % 2)]
-    return [(np.float_power(cos, c) * np.power(sin, s)).take(h, axis=-1) for c, s, h in terms]
+    return [(np.float_power(cos, c) * np.power(sin, s)).take(h, axis=-1) for c, s, h in map(_BLOCK_TERMS.get, widths)]
 
 
 def _mix_passes(state: np.ndarray, scratch: np.ndarray, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Per block of an n-vertex mixer on a (B, D) stack that starts in state: its width's place in _mixer_blocks (0
-    for two vertices, -1 for the last of odd n) and the (src, dst) views of its matmul."""
+    """Per _mixer_layout block of a mixer on a (B, D) stack that starts in state: (k, src, dst) of its matmul."""
     rows, passes = len(state), []
-    for k, size in [(0, 16)] * (n // 2) + [(-1, 4)] * (n % 2):
-        rest = 4**n // size
+    for k, q in _mixer_layout(n):
+        size, rest = 1 << q, 4**n >> q
         passes.append((k, state.reshape(rows, -1, rest, size).swapaxes(2, 3), scratch.reshape(rows, -1, size, rest)))
         state, scratch = scratch, state
     return passes
@@ -309,16 +312,14 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
 
 def _layer_phases(inst: QaoaInstance, gammas: np.ndarray):
     """Per layer of (p, B, 1) gammas, what _phase_layer takes: GATE's (B, 1) column, or DIAGONAL's (B, L) phases
-    exp(-0.5j * gamma * level) of the L cost levels, exped in one call for up to D // L layers, so that the table stays
-    within a state, and in chunks of D // L layers beyond."""
+    exp(-0.5j * gamma * level) of the L cost levels, D // L layers per exp so that the table stays within a state."""
     if inst.backend is Backend.GATE:
-        return gammas
+        yield from gammas
+        return
     per_exp = max(1, inst.cost.values.size // inst.cost.levels[0].size)
-    if len(gammas) > per_exp:
-        starts = range(0, len(gammas), per_exp)
-        return (phases for start in starts for phases in _layer_phases(inst, gammas[start : start + per_exp]))
-    table = -0.5j * gammas * inst.cost.levels[0]
-    return np.exp(table, out=table)
+    for start in range(0, len(gammas), per_exp):
+        table = -0.5j * gammas[start : start + per_exp] * inst.cost.levels[0]
+        yield from np.exp(table, out=table)
 
 
 def _phase_layer(inst: QaoaInstance, rows: np.ndarray, phases: np.ndarray, out, uniform: bool = False) -> None:
