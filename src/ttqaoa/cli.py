@@ -31,6 +31,7 @@ from .simulator import (
     Backend,
     ParameterVector,
     _energies,
+    _full_states,
     _Plan,
     check_shots,
     energy_grid,
@@ -138,13 +139,13 @@ def run_solve(
     check_shots(shots)  # before the search, which can take hours; sample_counts checks again
     check_simplex_budget(refine_cfg.max_evals, 2 * depth)  # likewise; refine checks again
     inst = make_instance(g, depth, backend)  # likewise: depth, register size and weights
-    check_gamma_period(inst.cost)
+    plan = _Plan(inst)
+    check_gamma_period(plan.cost)
     t0 = time.perf_counter()
     colors, optimal = brute_force_max_cut(g, 3)
     if optimal <= 0.0:
         raise ValueError("optimal cut is zero; approximation ratio undefined")
     t1 = time.perf_counter()
-    plan = _Plan(inst)
 
     def evaluate(idxs: list[tuple[int, ...]]) -> np.ndarray:
         return _energies(plan, index_to_angles(np.array(idxs), protes_cfg.nodes_per_dim))
@@ -154,8 +155,10 @@ def run_solve(
     search_theta = index_to_angles(trace.best_index, protes_cfg.nodes_per_dim)
     result = refine(_energy_objective(plan), search_theta, refine_cfg)
     t3 = time.perf_counter()
-    (state,), _ = plan.run(result.theta[None])
-    del plan  # frees the scratch buffer; state keeps the other
+    rows, _ = plan.run(result.theta[None])
+    del plan  # frees the scratch buffer (and DIAGONAL's half cost); rows keep the other
+    (state,) = _full_states(inst, rows)
+    del rows  # on DIAGONAL, frees the half register before sampling
     counts = sample_counts(state, shots, np.random.default_rng(shots_seed), color_dim=4**g.n)
     t4 = time.perf_counter()
 

@@ -42,7 +42,7 @@ _COLOR_OF_BITS = (0, 1, 2, 2)
 
 @dataclass(frozen=True, eq=False)
 class CostDiagonal:
-    """Diagonal of the cost operator over the 4**n color basis states."""
+    """Diagonal of the cost operator over the 4**n color basis states (in a DIAGONAL plan, over its half register's)."""
 
     values: np.ndarray
     n: int

@@ -16,24 +16,32 @@ significant qubits; they start in |0> and are restored to |0> after every
 edge block, so they never entangle with the color register.  Only
 _color_block drops them, after checking that they hold no mass.
 
-The gates address qubits through strided views of the state.  The mixer is
-one 16x16 matmul per two vertices (the tests keep a gate-by-gate RX reference),
-its matrices built for all betas at once from exponents and Hamming gathers
-made at import, bit for bit Python's c ** (q - h) * s ** h: np.float_power
-calls libm's pow as Python does, where np.power's SIMD loop can move a last
-bit.  Circuits run as (B, D) stacks on buffers that their caller owns; rows
-equal one-row runs bit for bit.  A _Plan (one per solve, and per run_qaoa
-call) owns a state and a scratch buffer of at most (rows, D), rows =
-max(1, STACK_AMPLITUDES // D), and per row count its mixer views, dropped when
-the buffers grow.  The DIAGONAL phases of the L cost levels are exped for
-D // L layers at a time, so the table stays within a state, and gathered per
-entry; the first layer gathers 2**-n times them straight into the state, bit
-for bit the uniform state phased, as a power-of-two scaling is exact.
-energy_grid owns a register and two row stacks.  take's mode="clip" gathers
-phases (mode="raise" gathers into a fresh copy of out first), _mix passes
-between the buffers, _measure takes |amp|**2 in the free one, checking ancillas
-only on GATE's wider rows; apply_mixer and apply_phase_diagonal are the mixer
-and phase layer on one statevector.
+The gates address qubits through strided views of the state.  The mixer
+kernel, on either register, is the mixer module's.
+
+DIAGONAL circuits run on half the register.  Flipping the low bit of every
+vertex (F) swaps colors 0 and 1 and keeps color 2, so it keeps the cost, and
+the uniform start and the mixer commute with it: every state has
+psi(z) = psi(z XOR F).  The half register keeps the 2**(2n-1) amplitudes with
+vertex 0's low bit 0, y (the low bits of vertices n-1..1) on top, the high
+bits below.  Its norm and <cost> are twice the half's sums, exactly;
+_full_states expands its rows for run_qaoa and solve's sampling.  GATE keeps
+the full register.
+
+Circuits run as (B, D) stacks on buffers that their caller owns; rows equal
+one-row runs bit for bit.  A _Plan (one per solve, and per run_qaoa call)
+owns the cost over the register it runs, a state and a scratch buffer of at
+most (rows, D), rows = max(1, STACK_AMPLITUDES // D), and per row count its
+mixer views, dropped when the buffers grow.  The DIAGONAL phases of the L
+cost levels are exped for D // L layers at a time, so the table stays within
+a state, and gathered per entry; the first layer gathers 2**-n times them
+straight into the state, bit for bit the uniform state phased, as a
+power-of-two scaling is exact.  energy_grid owns a register and two row
+stacks.  take's mode="clip" gathers phases (mode="raise" gathers into a fresh
+copy of out first), _mix passes between the buffers, _measure takes
+|amp|**2 in the free one, checking ancillas only on GATE's wider rows;
+apply_mixer and apply_phase_diagonal are the mixer and phase layer on one
+full statevector.
 """
 from __future__ import annotations
 
@@ -45,6 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph
+from .mixer import _half_view, _mix, _mix_passes, _mixer_blocks, _mixer_layout
 from .qaoa_model import MAX_QUBITS, CostDiagonal, build_cost_diagonal
 
 NORM_TOL = 1e-10
@@ -125,46 +134,6 @@ def _check_qubits(state: np.ndarray, *qubits: int) -> int:
     return q
 
 
-# Hamming distance between 4-bit block indices; its top-left 4x4 serves the one-vertex block.
-_HAMMING = np.array([[bin(j ^ k).count("1") for k in range(16)] for j in range(16)])
-# Per block width q: cos's exponents q - h and -i*sin's h (h = 0..q), in their powers' dtypes, and the Hamming gather.
-_BLOCK_TERMS = {q: (q - np.arange(q + 1.0), np.arange(q + 1.0) + 0j, _HAMMING[: 1 << q, : 1 << q]) for q in (2, 4)}
-
-
-def _mixer_layout(n: int) -> list[tuple[int, int]]:
-    """Per block of an n-vertex mixer, in order: (k, q), its matrix's place in _mixer_blocks and its width in qubits."""
-    return [(0, 4)] * (n // 2) + [(-1, 2)] * (n % 2)
-
-
-def _mixer_blocks(betas: np.ndarray, n: int) -> list[np.ndarray]:
-    """exp(-i*beta*X) per block width of an n-vertex mixer, in _mixer_layout's order.
-
-    Each is a (*betas.shape, 2**q, 2**q) stack, cos**(q-h) * (-i*sin)**h at Hamming distance h: take, unlike an
-    index gather, keeps the beta axes outermost, so every matrix of a stack takes a lone matrix's BLAS path.
-    """
-    betas, widths = np.asarray(betas)[..., None], dict.fromkeys(q for _, q in _mixer_layout(n))
-    cos, sin = np.cos(betas), -1j * np.sin(betas)
-    return [(np.float_power(cos, c) * np.power(sin, s)).take(h, axis=-1) for c, s, h in map(_BLOCK_TERMS.get, widths)]
-
-
-def _mix_passes(state: np.ndarray, scratch: np.ndarray, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Per _mixer_layout block of a mixer on a (B, D) stack that starts in state: (k, src, dst) of its matmul."""
-    rows, passes = len(state), []
-    for k, q in _mixer_layout(n):
-        size, rest = 1 << q, 4**n >> q
-        passes.append((k, state.reshape(rows, -1, rest, size).swapaxes(2, 3), scratch.reshape(rows, -1, size, rest)))
-        state, scratch = scratch, state
-    return passes
-
-
-def _mix(state: np.ndarray, scratch: np.ndarray, matrices: list, n: int, passes: list | None = None) -> tuple:
-    """Mix a (B, D) stack by its per-width matrices, one matmul per block lifting its bits to the top: (mixed, free)."""
-    passes = passes or _mix_passes(state, scratch, n)
-    for k, src, dst in passes:
-        np.matmul(matrices[k], src, out=dst)
-    return (scratch, state) if len(passes) % 2 else (state, scratch)
-
-
 def _view(state: np.ndarray, q: int, bits: dict[int, int | slice]) -> np.ndarray:
     """Strided view of the amplitudes whose qubit t holds bits[t] per listed t; a slice keeps (or reverses) t's axis."""
     index = [bits.get(t, slice(None)) for t in range(q - 1, -1, -1)]
@@ -200,14 +169,14 @@ def prepare_initial(n: int, backend: Backend = Backend.DIAGONAL) -> np.ndarray:
 def apply_mixer(state: np.ndarray, beta: float, n: int) -> np.ndarray:
     """exp(-i*beta*X) on each of the 2n color qubits of one statevector; ancillas are untouched.
 
-    _mix runs it as a one-row stack between the state and a fresh buffer, equal to the plan's rows bit for bit
-    and to the tests' RX reference to 1e-13.  A (B, D) stack or a non-scalar beta raises: stacks go through _mix.
+    _mix runs it as a one-row stack between the state and a fresh buffer, equal to GATE plan rows bit for bit and
+    to the tests' RX reference to 1e-13.  A (B, D) stack or a non-scalar beta raises: stacks go through _mix.
     """
     if state.ndim != 1 or np.ndim(beta) != 0:
         raise ValueError(f"one state and scalar beta expected, got {state.shape}, {np.shape(beta)}")
     _check_qubits(state, 2 * n - 1)
-    blocks = _mixer_blocks(np.full((1, 1), beta, dtype=float), n)
-    state[...] = _mix(state[None], np.empty_like(state)[None], blocks, n)[0][0]
+    layout, pair = _mixer_layout(n, half=False), (state[None], np.empty_like(state)[None])
+    state[...] = _mix(*pair, _mixer_blocks(np.full((1, 1), beta, dtype=float), layout), _mix_passes(*pair, layout))[0]
     return state
 
 
@@ -271,11 +240,18 @@ class _Plan:
     """The set-up and buffers that every evaluation of inst repeats, built once; see the module docstring."""
 
     def __init__(self, inst: QaoaInstance):
-        self.inst = inst
-        if inst.backend is Backend.DIAGONAL:
-            inst.cost.levels  # built now, so the level sort's temporaries are freed before any buffer exists
-        self.state = self.scratch = np.empty((0, 1 << _register_qubits(inst.graph.n, inst.backend)), dtype=complex)
-        self.rows = max(1, STACK_AMPLITUDES // self.state.shape[1])
+        self.inst, n = inst, inst.graph.n
+        self.half = inst.backend is Backend.DIAGONAL
+        # The cost over the register the plan runs, and the factor from its norm and <cost> sums to the full register's:
+        # each half-register amplitude stands for two.
+        self.cost, self.weight = inst.cost, 1.0
+        if self.half:
+            self.cost, self.weight = CostDiagonal(_half_view(inst.cost.values[None], n).reshape(-1), n), 2.0
+            self.cost.levels  # built now, so the level sort's temporaries are freed before any buffer exists
+        self.layout = _mixer_layout(n, self.half)
+        width = self.cost.values.size if self.half else 1 << _register_qubits(n, inst.backend)
+        self.state = self.scratch = np.empty((0, width), dtype=complex)
+        self.rows = max(1, STACK_AMPLITUDES // width)
         self.views: dict[int, tuple] = {}  # per row count: the buffers' leading rows and each layer's _mix_passes
 
     def run(self, thetas: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -283,7 +259,7 @@ class _Plan:
 
         Returns the rows, a view of a plan buffer until the next run, and each row's <inst.cost>.
         """
-        inst, n, p = self.inst, self.inst.graph.n, self.inst.depth
+        p = self.inst.depth
         if thetas.ndim != 2 or thetas.shape[1] != 2 * p:
             raise ValueError(f"angle array shape {thetas.shape} does not match (B, {2 * p})")
         count = len(thetas)
@@ -292,61 +268,79 @@ class _Plan:
             self.views = {}  # views into the old buffers would keep them alive
         if count not in self.views:
             pair = self.state[:count], self.scratch[:count]
-            cycle = _mix_passes(*pair, n), _mix_passes(*pair[::-1], n)  # layer l starts where l mixers end
-            self.views[count] = pair, [cycle[layer * len(cycle[0]) % 2] for layer in range(p)]
+            cycle = _mix_passes(*pair, self.layout), _mix_passes(*pair[::-1], self.layout)
+            swaps = sum(q > 0 for q, _ in self.layout)  # layer l starts where l mixers' block passes end
+            self.views[count] = pair, [cycle[layer * swaps % 2] for layer in range(p)]
         (state, scratch), passes = self.views[count]
-        tables, blocks = _layer_phases(inst, thetas[:, :p].T[..., None]), _mixer_blocks(thetas[:, p:].T[..., None], n)
+        tables = _layer_phases(self, thetas[:, :p].T[..., None])
+        blocks = _mixer_blocks(thetas[:, p:].T[..., None], self.layout)
         for layer, (phases, layer_passes, *matrices) in enumerate(zip(tables, passes, *blocks)):
-            _phase_layer(inst, state, phases, scratch, uniform=not layer)
-            state, scratch = _mix(state, scratch, matrices, n, layer_passes)
-        return state, _measure(state, inst.cost, scratch)
+            _phase_layer(self, state, phases, scratch, uniform=not layer)
+            state, scratch = _mix(state, scratch, matrices, layer_passes)
+        return state, _measure(self, state, scratch)
+
+
+def _full_states(inst: QaoaInstance, rows: np.ndarray) -> np.ndarray:
+    """Plan rows as full registers: GATE's as they are, DIAGONAL's halves expanded by psi(z XOR F) = psi(z)."""
+    if inst.backend is Backend.GATE:
+        return rows
+    n = inst.graph.n
+    full = np.empty((len(rows), 4**n), dtype=complex)
+    y_first, shape = rows.reshape(len(rows), 1 << n - 1, -1), (len(rows),) + (2,) * (2 * n - 1)
+    _half_view(full, n, 0)[...] = y_first.reshape(shape)
+    _half_view(full, n, 1)[...] = y_first[:, ::-1].reshape(shape)
+    return full
 
 
 def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
     """Apply depth layers of phase separator then mixer to the initial state, through a plan of its own."""
     if theta.p != inst.depth:
         raise ValueError(f"parameter depth {theta.p} does not match instance depth {inst.depth}")
-    (state,), _ = _Plan(inst).run(theta.to_flat()[None])
+    rows, _ = _Plan(inst).run(theta.to_flat()[None])  # the plan's other buffer and half cost go with it here
+    (state,) = _full_states(inst, rows)
     return state
 
 
-def _layer_phases(inst: QaoaInstance, gammas: np.ndarray):
+def _layer_phases(plan: _Plan, gammas: np.ndarray):
     """Per layer of (p, B, 1) gammas, what _phase_layer takes: GATE's (B, 1) column, or DIAGONAL's (B, L) phases
     exp(-0.5j * gamma * level) of the L cost levels, D // L layers per exp so that the table stays within a state."""
-    if inst.backend is Backend.GATE:
+    if not plan.half:
         yield from gammas
         return
-    per_exp = max(1, inst.cost.values.size // inst.cost.levels[0].size)
+    levels = plan.cost.levels[0]
+    per_exp = max(1, plan.cost.values.size // levels.size)
     for start in range(0, len(gammas), per_exp):
-        table = -0.5j * gammas[start : start + per_exp] * inst.cost.levels[0]
+        table = -0.5j * gammas[start : start + per_exp] * levels
         yield from np.exp(table, out=table)
 
 
-def _phase_layer(inst: QaoaInstance, rows: np.ndarray, phases: np.ndarray, out, uniform: bool = False) -> None:
+def _phase_layer(plan: _Plan, rows: np.ndarray, phases: np.ndarray, out, uniform: bool = False) -> None:
     """One phase layer on a (B, D) stack in place, given its _layer_phases entry: DIAGONAL gathers into out, GATE runs
     row by row.  uniform=True starts from the uniform state, into which DIAGONAL gathers 2**-n * phases directly."""
-    n = inst.graph.n
-    if inst.backend is Backend.GATE:
+    n = plan.inst.graph.n
+    if not plan.half:
         if uniform:
             rows[:, : 4**n], rows[:, 4**n :] = 2.0**-n, 0.0
         for row, (gamma,) in zip(rows, phases.tolist()):
-            apply_phase_gate_level(row, inst.graph, gamma)
+            apply_phase_gate_level(row, plan.inst.graph, gamma)
     elif uniform:
-        (phases * 2.0**-n).take(inst.cost.levels[1], axis=-1, out=rows, mode="clip")
+        (phases * 2.0**-n).take(plan.cost.levels[1], axis=-1, out=rows, mode="clip")
     else:
-        rows *= phases.take(inst.cost.levels[1], axis=-1, out=out, mode="clip")
+        rows *= phases.take(plan.cost.levels[1], axis=-1, out=out, mode="clip")
 
 
-def _measure(rows: np.ndarray, cost: CostDiagonal, scratch: np.ndarray) -> list[float]:
-    """Raise unless every row of a (B, D) stack kept unit norm (NaN fails too); then each row's own <cost>."""
+def _measure(plan: _Plan, rows: np.ndarray, scratch: np.ndarray) -> list[float]:
+    """Raise unless every row of a (B, D) stack of plan's register kept unit norm (NaN fails too); then each row's own
+    <cost>.  plan.weight scales both sums to the full register's."""
+    cost, weight = plan.cost, plan.weight
     probs = np.abs(rows, out=scratch.view(float)[:, : rows.shape[1]])
-    for norm in np.sqrt(np.add.reduce(np.square(probs, out=probs), axis=1)).tolist():
+    for norm in np.sqrt(weight * np.add.reduce(np.square(probs, out=probs), axis=1)).tolist():
         if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError(f"statevector norm drifted to {norm}")
     if rows.shape[1] > cost.values.size:
         for row in rows:
             _color_block(row, cost.values.size, "at measurement")
-    return [float(row @ cost.values) for row in probs[:, : cost.values.size]]
+    return [weight * float(row @ cost.values) for row in probs[:, : cost.values.size]]
 
 
 def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
@@ -354,37 +348,37 @@ def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[flo
 
     One phase layer per gamma on one register; its color block (on GATE the ancilla blocks, checked empty, hold
     exact zeros) is copied into one row per beta, mixed and measured in stacks of at most STACK_AMPLITUDES
-    amplitudes beside a scratch stack that also takes the phase gather: entries are run_qaoa's, bit for bit.
+    amplitudes beside a scratch stack that also takes the phase gather: entries are one-row plan runs', bit for bit.
     """
     if inst.depth != 1:
         raise ValueError(f"energy_grid evaluates depth-1 circuits, got depth {inst.depth}")
     gammas, betas = (np.asarray(x, dtype=float) for x in (gammas, betas))
     if gammas.ndim != 1 or betas.ndim != 1:
         raise ValueError("gammas and betas must be 1-D")
-    n, size = inst.graph.n, inst.cost.values.size
-    if inst.backend is Backend.DIAGONAL:
-        inst.cost.levels  # built first, as in _Plan, so the level sort's temporaries are freed before any buffer
+    plan = _Plan(inst)  # the register's cost, weight and mixer layout, with the levels built first; no buffers
+    size = plan.cost.values.size
     per_call = max(1, STACK_AMPLITUDES // size)
-    register = np.empty((1, 1 << _register_qubits(n, inst.backend)), dtype=complex)
+    register = np.empty((1, plan.state.shape[1]), dtype=complex)
     stack, scratch = (np.empty((min(max(betas.size, 1), per_call), size), dtype=complex) for _ in range(2))
     energies = np.empty((gammas.size, betas.size))
     for i, gamma in enumerate(gammas[:, None, None]):
-        (phases,) = _layer_phases(inst, gamma[None])  # one exp per gamma: a table of them could outgrow a state
-        _phase_layer(inst, register, phases, scratch[:1], uniform=True)
+        (phases,) = _layer_phases(plan, gamma[None])  # one exp per gamma: a table of them could outgrow a state
+        _phase_layer(plan, register, phases, scratch[:1], uniform=True)
         state = _color_block(register[0], size, "after the phase layer")
         for start in range(0, betas.size, per_call):
             chunk = betas[start : start + per_call, None]
-            stack[: len(chunk)] = state
-            mixed, free = _mix(stack[: len(chunk)], scratch[: len(chunk)], _mixer_blocks(chunk, n), n)
-            energies[i, start : start + len(chunk)] = _measure(mixed, inst.cost, free)
+            rows, free = stack[: len(chunk)], scratch[: len(chunk)]
+            rows[...] = state
+            mixed, free = _mix(rows, free, _mixer_blocks(chunk, plan.layout), _mix_passes(rows, free, plan.layout))
+            energies[i, start : start + len(chunk)] = _measure(plan, mixed, free)
     return energies
 
 
 def _energies(plan: _Plan, thetas: np.ndarray) -> np.ndarray:
     """Energies of the rows of a (B, 2p) array of flat angle vectors, gammas then betas, through plan.
 
-    Runs stacks of at most plan.rows registers; entry b is
-    expectation(run_qaoa(plan.inst, ParameterVector.from_flat(thetas[b])), plan.inst.cost), bit for bit.
+    Runs stacks of at most plan.rows registers; entry b is a one-row run's, bit for bit, and
+    expectation(run_qaoa(plan.inst, ParameterVector.from_flat(thetas[b])), plan.inst.cost) up to rounding.
     """
     thetas = np.asarray(thetas, dtype=float)
     energies = np.empty(len(thetas))

@@ -138,7 +138,9 @@ def test_landscape_csv_structure():
 
 
 def landscape_reference(g, resolution, backend):
-    """The earlier landscape: one full run_qaoa per grid cell, kept as the byte-for-byte reference."""
+    """The earlier landscape: one circuit per grid cell, kept as the byte-for-byte reference.  Each cell is a one-row
+    plan run, the full register's run_qaoa on GATE and the color-swap half register on DIAGONAL, whose energy must
+    also equal the expanded run_qaoa state's to 1e-13."""
     inst = make_instance(g, 1, backend)
     angles = index_to_angles(np.arange(resolution), resolution)
     lines = ["gamma,beta,energy"]
@@ -146,7 +148,9 @@ def landscape_reference(g, resolution, backend):
         gamma = float(gamma)
         for beta in angles:
             beta = float(beta)
-            energy = expectation(run_qaoa(inst, ParameterVector((gamma,), (beta,))), inst.cost)
+            energy = simulator._Plan(inst).run(np.array([[gamma, beta]]))[1][0]
+            full = expectation(run_qaoa(inst, ParameterVector((gamma,), (beta,))), inst.cost)
+            assert energy == full if backend is Backend.GATE else abs(energy - full) < 1e-13
             lines.append(f"{gamma!r},{beta!r},{energy!r}")
     return "\n".join(lines) + "\n"
 
@@ -154,12 +158,13 @@ def landscape_reference(g, resolution, backend):
 @pytest.mark.parametrize(
     "graph, resolution, backend",
     [
-        # 256 amplitudes: the 7 betas fit in one call under the 32-row cap.
+        # 128 half-register amplitudes: the 7 betas fit in one call under the 64-row cap.
         (G4, 7, Backend.DIAGONAL),
         # 1,024-amplitude color block: 8-row calls, and a 1-row tail.
         (K5_WEIGHTED, 9, Backend.GATE),
+        # 2,048 half-register amplitudes: four rows per call, and at resolution 5 a 1-row tail.
+        (random_complete_graph(6, 11), 5, Backend.DIAGONAL),
         # 4,096 amplitudes: two rows per call, and at resolution 3 a 1-row tail.
-        (random_complete_graph(6, 11), 4, Backend.DIAGONAL),
         (random_complete_graph(6, 12), 3, Backend.GATE),
     ],
     ids=["g4-diagonal", "k5-gate", "n6-diagonal", "n6-gate"],

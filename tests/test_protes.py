@@ -261,9 +261,14 @@ def test_batched_core_equals_scalar_optimize(bench_run):
 
 def test_batched_core_equals_scalar_optimize_on_qaoa_energies():
     inst = make_instance(G4, 2)
+    one_row = _Plan(inst)
 
     def objective(idx):
-        return expectation(run_qaoa(inst, ParameterVector.from_flat(index_to_angles(idx, 100))), inst.cost)
+        # One row per call, as refinement runs it; the full register's energy agrees to 1e-13.
+        theta = index_to_angles(idx, 100)
+        energy = one_row.run(theta[None])[1][0]
+        assert abs(energy - expectation(run_qaoa(inst, ParameterVector.from_flat(theta)), inst.cost)) < 1e-13
+        return energy
 
     plan = _Plan(inst)
 

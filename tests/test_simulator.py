@@ -12,7 +12,14 @@ import pytest
 from ttqaoa import cli, simulator
 from ttqaoa.graph import Graph, cut_value, load_graph, parse_edge_list, random_complete_graph, total_weight
 from ttqaoa.protes import trace_to_csv
-from ttqaoa.qaoa_model import TWO_PI, build_cost_diagonal, cut_from_energy, decode_bitstring
+from ttqaoa.qaoa_model import (
+    TWO_PI,
+    CostDiagonal,
+    build_cost_diagonal,
+    cut_from_energy,
+    decode_bitstring,
+    interaction_table,
+)
 from ttqaoa.simulator import (
     Backend,
     ParameterVector,
@@ -266,9 +273,12 @@ def test_mixer_matches_kron_oracle():
     assert np.allclose(apply_mixer(state.copy(), beta, 2), full @ state, atol=1e-12)
 
 
-def mix(rows, betas, n):
-    """The plan's mixer kernel on a (B, D) stack with (B, 1) betas, between the stack and a fresh buffer."""
-    mixed, _ = simulator._mix(rows, np.empty_like(rows), simulator._mixer_blocks(betas, n), n)
+def mix(rows, betas, n, half=False):
+    """The plans' mixer kernel on a (B, D) stack with (B, 1) betas, between the stack and a fresh buffer: the full
+    register's layout, or with half=True the color-swap half register's."""
+    layout, scratch = simulator._mixer_layout(n, half), np.empty_like(rows)
+    passes = simulator._mix_passes(rows, scratch, layout)
+    mixed, _ = simulator._mix(rows, scratch, simulator._mixer_blocks(betas, layout), passes)
     return mixed
 
 
@@ -286,6 +296,13 @@ def test_mixer_stack_rows_match_one_row_calls(rows, backend):
         # apply_mixer is the one-row kernel on a single statevector.
         for row, beta, want in zip(stack, betas[:, 0], expected):
             assert np.array_equal(apply_mixer(row.copy(), beta, n), want)
+    if backend is Backend.DIAGONAL:
+        # The half register folds the color swap into its first block up to n=5 and runs it as a pass from n=6.
+        for n in range(1, 8):
+            stack = rng.standard_normal((rows, 2 ** (2 * n - 1))) + 1j * rng.standard_normal((rows, 2 ** (2 * n - 1)))
+            betas = rng.uniform(-4.0, 4.0, (rows, 1))
+            expected = [mix(row[None].copy(), beta[None], n, half=True)[0] for row, beta in zip(stack, betas)]
+            assert np.array_equal(mix(stack.copy(), betas, n, half=True), expected)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -310,34 +327,58 @@ def test_mixer_keeps_zero_ancilla_blocks_exactly_zero():
         assert not np.any(state[4**n :])
 
 
-def reference_mixer_block(betas, q):
-    """The earlier per-beta Python terms, gathered by Hamming distance: the bit-for-bit reference for _mixer_blocks."""
+def reference_mixer_block(betas, kind):
+    """One mixer kind from the per-beta Python terms c ** (w - h) * s ** h, entry by entry from its definition: the
+    bit-for-bit reference for _mixer_blocks.  (q, -1) is RX on q qubits; (q, m) adds the path through vertex 0's low
+    bit, entry (j, k) of width w = q + 1 plus term 1 + Hamming(j, k with its top m qubits complemented); (0, m) is
+    the color swap's (cos, -i*sin)."""
+    q, m = kind
+    width = max(q, 1) + (q > 0 and m >= 0)
     cos_sin = [(math.cos(b), -1j * math.sin(b)) for b in betas.flat]
-    terms = [[c ** (q - h) * s ** h for h in range(q + 1)] for c, s in cos_sin]
-    return np.array(terms).reshape(*betas.shape, -1).take(simulator._HAMMING[: 1 << q, : 1 << q], axis=-1)
+    terms = [[c ** (width - h) * s ** h for h in range(width + 1)] for c, s in cos_sin]
+    if q == 0:
+        return np.array(terms).reshape(*betas.shape, 2)
+    hamming = [[bin(j ^ k).count("1") for k in range(1 << q)] for j in range(1 << q)]
+    swap = ((1 << m) - 1) << (q - m) if m >= 0 else None
+    blocks = []
+    for t in terms:
+        block = [[t[hamming[j][k]] for k in range(1 << q)] for j in range(1 << q)]
+        if swap is not None:
+            block = [[block[j][k] + t[hamming[j][k ^ swap] + 1] for k in range(1 << q)] for j in range(1 << q)]
+        blocks.append(block)
+    return np.array(blocks).reshape(*betas.shape, 1 << q, 1 << q)
 
 
-def reference_mixer_blocks(betas, n):
-    """The per-width list that _mixer_blocks returns, from the Python terms: two-vertex blocks, then odd n's last."""
-    return [reference_mixer_block(betas, q) for q in (4,) * (n > 1) + (2,) * (n % 2)]
+def reference_mixer_blocks(betas, layout):
+    """The per-kind list that _mixer_blocks returns, from the Python terms, in the layout's first-use order."""
+    return [reference_mixer_block(betas, kind) for kind in dict.fromkeys(layout)]
 
 
-@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_vectorized_mixer_blocks_equal_python_terms_bit_for_bit(q):
     # np.power's SIMD float64 loop can differ from Python's ** in the last bit, where np.float_power
     # calls the same libm pow: a numpy or CPU change that moves these bits moves every report.
     rng = np.random.default_rng(50 + q)
     grid = TWO_PI * np.arange(100) / 100
     betas = np.concatenate([rng.uniform(-10.0, 10.0, 100_000), grid, [0.0, math.pi, -math.pi]])
-    # One vertex is one 2-qubit block, two vertices one 4-qubit block.
     for start in range(0, betas.size, 4096):
         chunk = betas[start : start + 4096]
-        (blocks,) = simulator._mixer_blocks(chunk, q // 2)
-        assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(chunk, q).view(np.uint64))
+        (blocks,) = simulator._mixer_blocks(chunk, [(q, -1)])
+        assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(chunk, (q, -1)).view(np.uint64))
     # The plan builds all layers at once from a transposed (p, B, 1) view of the angle array.
     stack = betas[:96].reshape(24, 4).T[..., None]
-    (blocks,) = simulator._mixer_blocks(stack, q // 2)
-    assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(stack, q).view(np.uint64))
+    (blocks,) = simulator._mixer_blocks(stack, [(q, -1)])
+    assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(stack, (q, -1)).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_half_register_mixer_blocks_equal_python_terms_bit_for_bit(n):
+    # The folded first blocks of n <= 5 and the swap terms of n >= 6, on the plan's (p, B, 1) angle view.
+    betas = np.concatenate([np.random.default_rng(60 + n).uniform(-10.0, 10.0, 397), [0.0, math.pi, -math.pi]])
+    stack = betas.reshape(100, 4).T[..., None]
+    layout = simulator._mixer_layout(n, half=True)
+    for got, want in zip(simulator._mixer_blocks(stack, layout), reference_mixer_blocks(stack, layout), strict=True):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_mixer_refuses_stacks_and_non_scalar_betas():
@@ -355,7 +396,9 @@ def test_energy_grid_shape_and_guards():
     grid = energy_grid(inst, gammas, betas)
     assert grid.shape == (2, 3)
     for (i, gamma), (j, beta) in itertools.product(enumerate(gammas), enumerate(betas)):
-        assert grid[i, j] == expectation(run_qaoa(inst, ParameterVector((gamma,), (beta,))), inst.cost)
+        # Each cell is a one-row plan run's bits, and the full register's energy to 1e-13.
+        assert grid[i, j] == _energies(_Plan(inst), [[gamma, beta]])[0]
+        assert abs(grid[i, j] - expectation(run_qaoa(inst, ParameterVector((gamma,), (beta,))), inst.cost)) < 1e-13
     assert energy_grid(inst, gammas, []).shape == (2, 0)
     with pytest.raises(ValueError):
         energy_grid(make_instance(G4, 2), gammas, betas)
@@ -364,33 +407,80 @@ def test_energy_grid_shape_and_guards():
 
 
 @pytest.mark.parametrize(
-    "graph, backend, shapes",
+    "graph, backend, betas, shapes",
     [
-        (G4, Backend.DIAGONAL, [(32, 256), (8, 256)]),
-        (random_complete_graph(5, 2), Backend.GATE, [(8, 1024)] * 5),
-        (random_complete_graph(6, 3), Backend.DIAGONAL, [(2, 4096)] * 20),
+        # DIAGONAL rows are the 2**(2n-1)-amplitude half register: 64 rows of G4's 128, 4 of n=6's 2,048.
+        (G4, Backend.DIAGONAL, 80, [(64, 128), (16, 128)]),
+        (random_complete_graph(5, 2), Backend.GATE, 40, [(8, 1024)] * 5),
+        (random_complete_graph(6, 3), Backend.DIAGONAL, 42, [(4, 2048)] * 10 + [(2, 2048)]),
     ],
     ids=["g4-diagonal", "n5-gate", "n6-diagonal"],
 )
-def test_energy_grid_caps_rows_per_mixer_call(monkeypatch, graph, backend, shapes):
+def test_energy_grid_caps_rows_per_mixer_call(monkeypatch, graph, backend, betas, shapes):
     # The grid mixes through the plan's _mix kernel: record the (rows, D) stack it mixes.
     real_mix = simulator._mix
     seen = []
 
-    def recording_mix(state, scratch, matrices, n):
+    def recording_mix(state, scratch, matrices, passes):
         seen.append(state.shape)
-        return real_mix(state, scratch, matrices, n)
+        return real_mix(state, scratch, matrices, passes)
 
     monkeypatch.setattr(simulator, "_mix", recording_mix)
-    energy_grid(make_instance(graph, 1, backend), [0.4], np.linspace(0.0, 3.0, 40))
+    energy_grid(make_instance(graph, 1, backend), [0.4], np.linspace(0.0, 3.0, betas))
     assert seen == shapes
+
+
+def analytic_depth1_energy(graph, gamma, beta):
+    """<cost> after one phase layer and one mixer, edge by edge with no statevector: a third construction, shared
+    with neither backend.  Conjugating an edge's 16-entry interaction by RX on its two vertices' four qubits gives a
+    16x16 matrix O; every other vertex k contributes, per pair (a, b) of the edge's codes, the mean over k's 4 codes
+    of its phase factor, and the edge's energy is w/16 Re sum_ab O[a, b] times the edge's own phase and those means."""
+    rx = np.array([[math.cos(beta), -1j * math.sin(beta)], [-1j * math.sin(beta), math.cos(beta)]])
+    rx4 = reduce(np.kron, [rx] * 4)  # index 4 * code_i + code_j, each code 2 * high + low
+    table = interaction_table()
+    code_i, code_j = np.divmod(np.arange(16), 4)
+    weights = np.zeros((graph.n, graph.n))
+    for i, j, w in graph.edges:
+        weights[i, j] = weights[j, i] = w
+    energy = 0.0
+    for i, j, w in graph.edges:
+        diag = table[code_i, code_j]
+        terms = (rx4.conj().T @ (diag[:, None] * rx4)) * np.exp(0.5j * gamma * w * (diag[:, None] - diag[None, :]))
+        for k in set(range(graph.n)) - {i, j}:
+            # Bra code a, ket code b, k's code r: the phase difference of k's terms with i and j.
+            rows_i, rows_j = table[code_i], table[code_j]
+            diff = weights[i, k] * (rows_i[:, None, :] - rows_i[None, :, :])
+            diff += weights[j, k] * (rows_j[:, None, :] - rows_j[None, :, :])
+            terms *= np.exp(0.5j * gamma * diff).mean(axis=-1)
+        energy += w * float(np.sum(terms).real) / 16
+    return energy
+
+
+def fractional_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5] or [(0, 1)]
+    return Graph(n, tuple((i, j, float(rng.uniform(0.2, 2.5))) for i, j in pairs))
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize(
+    "graph",
+    [G4, load_graph(str(GRAPHS / "k5_weighted.edgelist")), fractional_graph(6, 1), fractional_graph(8, 2)],
+    ids=["g4", "k5-weighted", "fractional-n6", "fractional-n8"],
+)
+def test_energy_grid_matches_the_analytic_depth1_energy(graph, backend):
+    # Two gammas at n=8, whose GATE phase layer is the slow part.
+    gammas, betas = [0.37, 2.9, 5.1][: 3 if graph.n < 8 else 2], [0.0, 0.81, 2.2]
+    grid = energy_grid(make_instance(graph, 1, backend), gammas, betas)
+    for (i, gamma), (j, beta) in itertools.product(enumerate(gammas), enumerate(betas)):
+        assert abs(grid[i, j] - analytic_depth1_energy(graph, gamma, beta)) < 1e-12
 
 
 def test_energy_grid_checks_every_row_norm(monkeypatch):
     real_mix = simulator._mix
 
-    def leaky_mix(state, scratch, matrices, n):
-        mixed, free = real_mix(state, scratch, matrices, n)
+    def leaky_mix(state, scratch, matrices, passes):
+        mixed, free = real_mix(state, scratch, matrices, passes)
         mixed[-1] *= 1.001
         return mixed, free
 
@@ -435,6 +525,28 @@ def test_energy_grid_peaks_below_three_states():
     assert peak < 3.1 * state_bytes
 
 
+def test_half_register_plans_keep_half_size_buffers():
+    # At n=8 a DIAGONAL plan runs the 2**15-amplitude color-swap half register: its two buffers hold one such row
+    # each, half a full state.  energy_grid keeps one register and two row stacks of that width beside the half
+    # register's cost and level index (2.02 states measured, 3.51 on the full register), and the first run_qaoa
+    # frees its plan before it expands the state (1.52 states measured, 2.52 on the full register).
+    plan = _Plan(make_instance(random_complete_graph(8, 5), 2))
+    _energies(plan, np.full((3, 4), 0.7))
+    assert plan.state.shape == plan.scratch.shape == (1, 2**15) and not np.shares_memory(plan.state, plan.scratch)
+    grid_inst, run_inst = make_instance(random_complete_graph(8, 5), 1), make_instance(random_complete_graph(8, 4), 2)
+    for run, states in (
+        (lambda: energy_grid(grid_inst, [0.3, 1.2, 2.0], [0.4, 1.1, 2.9]), 2.1),
+        (lambda: run_qaoa(run_inst, ParameterVector((0.4, 1.3), (0.9, 0.2))), 1.6),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < states * 4**8 * 16
+
+
 def test_phase_diagonal_values():
     cost = build_cost_diagonal(EDGE)
     uniform = prepare_initial(2)
@@ -475,18 +587,21 @@ def test_phase_diagonal_stack_rows_match_one_row_calls():
     rng = np.random.default_rng(31)
     for graph in (G4, random_complete_graph(5, 1)):
         cost = build_cost_diagonal(graph)
-        inst = make_instance(graph, 1)
-        stack = rng.standard_normal((3, cost.values.size)) + 1j * rng.standard_normal((3, cost.values.size))
+        plan = _Plan(make_instance(graph, 1))
+        size = plan.cost.values.size
+        stack = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
         gammas = rng.uniform(-4.0, 4.0, (3, 1))
-        # One-row phase layers gathering into an out buffer, as the plan and energy_grid run them.
+        # One-row phase layers on the half register, gathering into an out buffer, as the plan and energy_grid run them.
         expected = stack.copy()
         for row, g in zip(expected, gammas):
-            (phases,) = simulator._layer_phases(inst, g[None, None])
-            simulator._phase_layer(inst, row[None], phases, np.empty_like(row[None]))
+            (phases,) = simulator._layer_phases(plan, g[None, None])
+            simulator._phase_layer(plan, row[None], phases, np.empty_like(row[None]))
+        # The half gathers the full diagonal's phases: on the expanded row, apply_phase_diagonal gives its bits.
         for row, g, want in zip(stack, gammas[:, 0], expected):
-            assert np.array_equal(apply_phase_diagonal(row.copy(), cost, g), want)
-        (phases,) = simulator._layer_phases(inst, gammas[None])
-        simulator._phase_layer(inst, stack, phases, np.empty_like(stack))
+            full = expand_half(row, graph.n)
+            assert np.array_equal(apply_phase_diagonal(full, cost, g), expand_half(want, graph.n))
+        (phases,) = simulator._layer_phases(plan, gammas[None])
+        simulator._phase_layer(plan, stack, phases, np.empty_like(stack))
         assert np.array_equal(stack, expected)
 
 
@@ -512,12 +627,59 @@ def reference_run(inst, theta):
     return state
 
 
+def half_index(n):
+    """Per full-register basis index z, the half-register entry that holds psi(z), written out from the layout: z,
+    or z XOR F when vertex 0's low bit is set, at y * 2**n + h, y the low bits of vertices n-1..1 and h the high
+    bits of vertices n-1..0."""
+    z = np.arange(4**n)
+    z = np.where(z & 1, z ^ int("01" * n, 2), z)
+    y = sum(((z >> 2 * k) & 1) << (k - 1) for k in range(1, n))
+    h = sum(((z >> 2 * i + 1) & 1) << i for i in range(n))
+    return y * 2**n + h
+
+
+def expand_half(row, n):
+    return row[half_index(n)]
+
+
+def half_reference_run(inst, theta):
+    """One DIAGONAL circuit on the color-swap half register, layer by layer with scalar angles through the plans'
+    kernels: the per-row reference for DIAGONAL plan rows.  Returns the half row and its energy."""
+    n = inst.graph.n
+    half = CostDiagonal(inst.cost.values[np.argsort(half_index(n))[::2]], n)
+    assert np.array_equal(half.values, simulator._half_view(inst.cost.values[None], n).reshape(-1))
+    levels, index = half.levels
+    layout = simulator._mixer_layout(n, half=True)
+    state = np.full(half.values.size, 2.0**-n, dtype=complex)
+    for gamma, beta in zip(theta.gammas, theta.betas):
+        state *= np.exp(-0.5j * gamma * levels).take(index)
+        rows, scratch = state[None], np.empty_like(state)[None]
+        blocks = simulator._mixer_blocks(np.full((1, 1), beta), layout)
+        state = simulator._mix(rows, scratch, blocks, simulator._mix_passes(rows, scratch, layout))[0][0].copy()
+    probs = np.abs(state) ** 2
+    assert abs(math.sqrt(2.0 * probs.sum()) - 1.0) <= 1e-10
+    return state, 2.0 * float(probs @ half.values)
+
+
+def reference_row(inst, theta):
+    """What a plan row and its energy must equal bit for bit: GATE's reference_run and its expectation, DIAGONAL's
+    half_reference_run, checked against reference_run to 1e-13."""
+    full = reference_run(inst, theta)
+    if inst.backend is Backend.GATE:
+        return full, expectation(full, inst.cost)
+    half, energy = half_reference_run(inst, theta)
+    assert np.max(np.abs(expand_half(half, inst.graph.n) - full)) < 1e-13
+    assert abs(energy - expectation(full, inst.cost)) < 1e-13
+    return half, energy
+
+
 def assert_energies_match_reference(inst, thetas):
     expected = []
     for t in thetas:
-        state = reference_run(inst, ParameterVector.from_flat(t))
-        assert np.array_equal(run_qaoa(inst, ParameterVector.from_flat(t)).view(np.uint64), state.view(np.uint64))
-        expected.append(expectation(state, inst.cost))
+        row, energy = reference_row(inst, ParameterVector.from_flat(t))
+        want = row if inst.backend is Backend.GATE else expand_half(row, inst.graph.n)
+        assert np.array_equal(run_qaoa(inst, ParameterVector.from_flat(t)).view(np.uint64), want.view(np.uint64))
+        expected.append(energy)
     assert _energies(_Plan(inst), thetas).tolist() == expected
 
 
@@ -527,24 +689,58 @@ def test_stacked_energies_equal_one_circuit_per_row(n):
     rng = np.random.default_rng(40 + n)
     for p in (1, 2, 3):
         inst = make_instance(inst_graph, p)
-        # 32 and 33 straddle the n=4 row cap; n=6 runs two rows per stack.
-        for count in (1, 5, 32, 33, 40):
+        # 64 and 65 straddle the n=4 row cap; n=6 runs four rows per stack.
+        for count in (1, 5, 64, 65, 80):
             assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_half_register_runs_equal_the_full_register_reference(n):
+    # n=1 has an empty y, n=5 the widest folded first block (16 wide), n=6 the first color swap of its own.
+    graphs = [random_complete_graph(n, 70 + n)]
+    if n > 1:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)][: 2 * n]
+        graphs.append(Graph(n, tuple((i, j, 0.5 + 0.37 * k) for k, (i, j) in enumerate(pairs))))
+    rng = np.random.default_rng(80 + n)
+    for graph in graphs:
+        for p in (1, 2):
+            inst = make_instance(graph, p)
+            for t in rng.uniform(0.0, 2 * math.pi, (2, 2 * p)):
+                theta = ParameterVector.from_flat(t)
+                full = reference_run(inst, theta)
+                assert np.max(np.abs(run_qaoa(inst, theta) - full)) < 1e-13
+                assert abs(_energies(_Plan(inst), [t])[0] - expectation(full, inst.cost)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "graph", [G4, load_graph(str(GRAPHS / "k5_weighted.edgelist")), parse_edge_list("3 3\n0 1 0.5\n1 2 1.3\n0 2 1.0")],
+    ids=["g4", "k5-weighted", "fractional-triangle"],
+)
+def test_gate_states_keep_the_color_swap_symmetry(graph):
+    # Flipping every vertex's low bit (F) swaps colors 0 and 1 and keeps color 2, so it keeps the cost, and the
+    # uniform start and the mixer commute with it: the GATE backend's full register shows psi(z) = psi(z XOR F).
+    flip = np.arange(4**graph.n) ^ int("01" * graph.n, 2)
+    rng = np.random.default_rng(90)
+    for p in range(1, 5):
+        inst = make_instance(graph, p, Backend.GATE)
+        for t in rng.uniform(0.0, 2 * math.pi, (2, 2 * p)):
+            color = run_qaoa(inst, ParameterVector.from_flat(t))[: 4**graph.n]
+            assert np.max(np.abs(color - color[flip])) < 1e-13
 
 
 @pytest.mark.parametrize("graph", [G4, random_complete_graph(4, 4)], ids=["g4", "k4-weighted"])
 def test_refinement_circuit_equals_reference_bit_for_bit(graph):
     # A default solve runs p=4 at n=4: one row per refinement call and 20-row search stacks, on grid
-    # angles (node 0 is angle 0) and off them; 32 and 33 rows straddle the row cap.
+    # angles (node 0 is angle 0) and off them; 64 and 65 rows straddle the row cap.
     inst = make_instance(graph, 4)
     rng = np.random.default_rng(49)
     plan = _Plan(inst)
-    for count in (1, 20, 32, 33):
+    for count in (1, 20, 64, 65):
         for thetas in (rng.uniform(0.0, 2 * math.pi, (count, 8)), TWO_PI * rng.integers(0, 100, (count, 8)) / 100):
             assert_energies_match_reference(inst, thetas)
-            rows, _ = plan.run(thetas[:32])
+            rows, _ = plan.run(thetas[:64])
             for row, t in zip(rows, thetas):
-                want = reference_run(inst, ParameterVector.from_flat(t))
+                want, _ = half_reference_run(inst, ParameterVector.from_flat(t))
                 assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 
@@ -587,20 +783,21 @@ def test_nan_angles_fail_the_norm_check():
 
 def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
     # The plan mixes through the private _mix kernel over its prebuilt passes, not apply_mixer: record the
-    # (rows, D) stack it mixes.
+    # (rows, D) stack it mixes.  DIAGONAL rows hold the half register: 128 amplitudes on G4, so 64 rows per stack.
     real_mix = simulator._mix
     seen = []
 
-    def recording_mix(state, scratch, matrices, n, passes=None):
+    def recording_mix(state, scratch, matrices, passes):
         seen.append(state.shape)
-        return real_mix(state, scratch, matrices, n, passes)
+        return real_mix(state, scratch, matrices, passes)
 
     monkeypatch.setattr(simulator, "_mix", recording_mix)
-    _energies(_Plan(make_instance(G4, 2)), np.zeros((33, 4)))
-    assert seen == [(32, 256)] * 2 + [(1, 256)] * 2
+    _energies(_Plan(make_instance(G4, 2)), np.zeros((65, 4)))
+    assert seen == [(64, 128)] * 2 + [(1, 128)] * 2
     seen.clear()
+    # n=7's half register is STACK_AMPLITUDES wide: one row per stack.
     _energies(_Plan(make_instance(random_complete_graph(7, 0), 1)), np.zeros((2, 2)))
-    assert seen == [(1, 4**7)] * 2
+    assert seen == [(1, 2**13)] * 2
     seen.clear()
     # The gate register carries two ancillas: 1,024 amplitudes on G4, so 8 rows per stack.
     _energies(_Plan(make_instance(G4, 2, Backend.GATE)), np.zeros((17, 4)))
@@ -616,10 +813,11 @@ def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
 
 @pytest.mark.parametrize("p", [8, 9, 17])
 def test_phase_table_chunks_equal_reference(p):
-    # 2 cost levels and 16 amplitudes: the plan exps the phases of 16 // 2 = 8 layers at a time, so p = 8, 9
-    # and 17 end on, just past, and one past two chunk boundaries.
+    # 2 cost levels and 8 half-register amplitudes: the plan exps the phases of 8 // 2 = 4 layers at a time, so
+    # p = 8, 9 and 17 end on the second chunk boundary, one past it, and one past the fourth.
     inst = make_instance(parse_edge_list("2 1\n0 1 0.7"), p)
     assert (inst.cost.levels[0].size, inst.cost.values.size) == (2, 16)
+    assert (_Plan(inst).cost.levels[0].size, _Plan(inst).cost.values.size) == (2, 8)
     rng = np.random.default_rng(70 + p)
     for count in (1, 5, 17):
         assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
@@ -642,9 +840,9 @@ def test_plan_views_follow_buffer_growth(graph, backend):
         rows, energies = plan.run(thetas)
         assert any(np.shares_memory(rows, buf) for buf in (plan.state, plan.scratch))
         for row, energy, t in zip(rows, energies, thetas):
-            want = reference_run(inst, ParameterVector.from_flat(t))
+            want, want_energy = reference_row(inst, ParameterVector.from_flat(t))
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
-            assert energy == expectation(want, inst.cost)
+            assert energy == want_energy
 
 
 def test_plan_results_survive_later_evaluations_without_faults():
@@ -699,8 +897,9 @@ def test_plan_results_survive_later_evaluations_without_faults():
     ],
 )
 def test_solve_reports_match_per_row_reference(monkeypatch, graph_name, depth):
-    # The same solve with every evaluation run by reference_run, one scalar circuit per row with the
-    # per-beta Python mixer terms, must give the same report, trace and theta bytes.
+    # The same solve with every evaluation run by half_reference_run, one scalar circuit per row with the
+    # per-beta Python mixer terms (and each checked against reference_run to 1e-13), must give the same report,
+    # trace and theta bytes.
     graph = load_graph(str(GRAPHS / graph_name))
 
     def solve():
@@ -709,7 +908,7 @@ def test_solve_reports_match_per_row_reference(monkeypatch, graph_name, depth):
         return cli.report_to_json(report), trace_to_csv(trace), result.theta.tobytes()
 
     def reference_energies(plan, thetas):
-        return [expectation(reference_run(plan.inst, ParameterVector.from_flat(t)), plan.inst.cost) for t in thetas]
+        return [reference_row(plan.inst, ParameterVector.from_flat(t))[1] for t in thetas]
 
     planned = solve()
     monkeypatch.setattr(simulator, "_mixer_blocks", reference_mixer_blocks)
