@@ -58,8 +58,9 @@ class CostDiagonal:
 
 
 def check_gamma_period(cost: CostDiagonal) -> None:
-    """Raise unless every two cost levels differ by an even integer, the condition for a 2*pi gamma period."""
-    if np.any(np.diff(cost.levels[0]) % 2):
+    """Raise unless every two cost levels differ by an even integer, the condition for a 2*pi gamma period.  Reads
+    the levels if they are built, else sorts the values: a GATE circuit keeps no per-entry level index."""
+    if np.any(np.diff(cost.levels[0] if "levels" in vars(cost) else np.unique(cost.values)) % 2):
         raise ValueError("solve needs a 2*pi gamma period: cost levels differing by even integers (integer weights)")
 
 

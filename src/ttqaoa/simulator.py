@@ -25,23 +25,24 @@ the uniform start and the mixer commute with it: every state has
 psi(z) = psi(z XOR F).  The half register keeps the 2**(2n-1) amplitudes with
 vertex 0's low bit 0, y (the low bits of vertices n-1..1) on top, the high
 bits below.  Its norm and <cost> are twice the half's sums, exactly;
-_full_states expands its rows for run_qaoa and solve's sampling.  GATE keeps
-the full register.
+_full_states expands its rows, and pads GATE's with empty ancilla blocks,
+for run_qaoa and solve's sampling.
 
 Circuits run as (B, D) stacks on buffers that their caller owns; rows equal
-one-row runs bit for bit.  A _Plan (one per solve, and per run_qaoa call)
-owns the cost over the register it runs, a state and a scratch buffer of at
-most (rows, D), rows = max(1, STACK_AMPLITUDES // D), and per row count its
-mixer views, dropped when the buffers grow.  The DIAGONAL phases of the L
+one-row runs bit for bit.  A _Plan (one per solve, landscape and run_qaoa
+call) owns the cost over the register it runs, a state and a scratch buffer
+of at most (rows, D), rows = max(1, STACK_AMPLITUDES // D), and per row count
+its mixer views, dropped when the buffers grow.  The DIAGONAL phases of the L
 cost levels are exped for D // L layers at a time, so the table stays within
 a state, and gathered per entry; the first layer gathers 2**-n times them
 straight into the state, bit for bit the uniform state phased, as a
-power-of-two scaling is exact.  energy_grid owns a register and two row
-stacks.  take's mode="clip" gathers phases (mode="raise" gathers into a fresh
+power-of-two scaling is exact.  GATE rows hold the color register: each
+gate layer runs on the plan's ancilla register, checked after it, and rows
+that share a first-layer gamma, as a landscape's cells do, share its layer.
+take's mode="clip" gathers phases (mode="raise" gathers into a fresh
 copy of out first), _mix passes between the buffers, _measure takes
-|amp|**2 in the free one, checking ancillas only on GATE's wider rows;
-apply_mixer and apply_phase_diagonal are the mixer and phase layer on one
-full statevector.
+|amp|**2 in the free one; apply_mixer and apply_phase_diagonal are the mixer
+and phase layer on one full statevector.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from .mixer import _half_view, _mix, _mix_passes, _mixer_blocks, _mixer_layout
 from .qaoa_model import MAX_QUBITS, CostDiagonal, build_cost_diagonal
 
 NORM_TOL = 1e-10
-# Amplitudes per stacked call in energy_grid and _energies: a 20-row n=4 search batch ran faster as one call than 16+4.
+# Amplitudes per stacked call in _energies: a 20-row n=4 search batch ran faster as one call than 16+4.
 STACK_AMPLITUDES = 1 << 13
 
 
@@ -169,8 +170,8 @@ def prepare_initial(n: int, backend: Backend = Backend.DIAGONAL) -> np.ndarray:
 def apply_mixer(state: np.ndarray, beta: float, n: int) -> np.ndarray:
     """exp(-i*beta*X) on each of the 2n color qubits of one statevector; ancillas are untouched.
 
-    _mix runs it as a one-row stack between the state and a fresh buffer, equal to GATE plan rows bit for bit and
-    to the tests' RX reference to 1e-13.  A (B, D) stack or a non-scalar beta raises: stacks go through _mix.
+    _mix runs it as a one-row stack between the state and a fresh buffer: its color block equals GATE plan rows bit
+    for bit, and the state the tests' RX reference to 1e-13.  A (B, D) stack or a non-scalar beta raises.
     """
     if state.ndim != 1 or np.ndim(beta) != 0:
         raise ValueError(f"one state and scalar beta expected, got {state.shape}, {np.shape(beta)}")
@@ -237,7 +238,7 @@ def apply_phase_gate_level(state: np.ndarray, g: Graph, gamma: float) -> np.ndar
 
 
 class _Plan:
-    """The set-up and buffers that every evaluation of inst repeats, built once; see the module docstring."""
+    """The set-up and buffers (GATE's ancilla register too) that every run of inst repeats; see the module docstring."""
 
     def __init__(self, inst: QaoaInstance):
         self.inst, n = inst, inst.graph.n
@@ -249,10 +250,12 @@ class _Plan:
             self.cost, self.weight = CostDiagonal(_half_view(inst.cost.values[None], n).reshape(-1), n), 2.0
             self.cost.levels  # built now, so the level sort's temporaries are freed before any buffer exists
         self.layout = _mixer_layout(n, self.half)
-        width = self.cost.values.size if self.half else 1 << _register_qubits(n, inst.backend)
-        self.state = self.scratch = np.empty((0, width), dtype=complex)
-        self.rows = max(1, STACK_AMPLITUDES // width)
+        self.state = self.scratch = np.empty((0, self.cost.values.size), dtype=complex)
+        self.rows = max(1, STACK_AMPLITUDES // self.cost.values.size)
         self.views: dict[int, tuple] = {}  # per row count: the buffers' leading rows and each layer's _mix_passes
+        # GATE's ancilla register, its ancillas in |00>, and the gamma of the first layer it holds, else None.
+        self.register = None if self.half else np.zeros(4 * self.cost.values.size, dtype=complex)
+        self.first_gamma = None
 
     def run(self, thetas: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """The p layers and _measure on one register per row of (B, 2p) flat angles, B <= rows.
@@ -281,11 +284,12 @@ class _Plan:
 
 
 def _full_states(inst: QaoaInstance, rows: np.ndarray) -> np.ndarray:
-    """Plan rows as full registers: GATE's as they are, DIAGONAL's halves expanded by psi(z XOR F) = psi(z)."""
-    if inst.backend is Backend.GATE:
-        return rows
+    """Plan rows as full registers: GATE's padded with empty ancillas, DIAGONAL's expanded by psi(z XOR F) = psi(z)."""
     n = inst.graph.n
-    full = np.empty((len(rows), 4**n), dtype=complex)
+    full = np.zeros((len(rows), 1 << _register_qubits(n, inst.backend)), dtype=complex)
+    if inst.backend is Backend.GATE:
+        full[:, : 4**n] = rows
+        return full
     y_first, shape = rows.reshape(len(rows), 1 << n - 1, -1), (len(rows),) + (2,) * (2 * n - 1)
     _half_view(full, n, 0)[...] = y_first.reshape(shape)
     _half_view(full, n, 1)[...] = y_first[:, ::-1].reshape(shape)
@@ -315,63 +319,48 @@ def _layer_phases(plan: _Plan, gammas: np.ndarray):
 
 
 def _phase_layer(plan: _Plan, rows: np.ndarray, phases: np.ndarray, out, uniform: bool = False) -> None:
-    """One phase layer on a (B, D) stack in place, given its _layer_phases entry: DIAGONAL gathers into out, GATE runs
-    row by row.  uniform=True starts from the uniform state, into which DIAGONAL gathers 2**-n * phases directly."""
+    """One phase layer on a (B, D) stack in place, given its _layer_phases entry: DIAGONAL gathers into out, GATE
+    runs each row on plan.register, or copies it for the first-layer gamma it holds.  uniform=True starts from the
+    uniform state, into which DIAGONAL gathers 2**-n * phases directly."""
     n = plan.inst.graph.n
-    if not plan.half:
+    if plan.half:
         if uniform:
-            rows[:, : 4**n], rows[:, 4**n :] = 2.0**-n, 0.0
-        for row, (gamma,) in zip(rows, phases.tolist()):
-            apply_phase_gate_level(row, plan.inst.graph, gamma)
-    elif uniform:
-        (phases * 2.0**-n).take(plan.cost.levels[1], axis=-1, out=rows, mode="clip")
-    else:
-        rows *= phases.take(plan.cost.levels[1], axis=-1, out=out, mode="clip")
+            (phases * 2.0**-n).take(plan.cost.levels[1], axis=-1, out=rows, mode="clip")
+        else:
+            rows *= phases.take(plan.cost.levels[1], axis=-1, out=out, mode="clip")
+        return
+    color = plan.register[: 4**n]
+    for row, (gamma,) in zip(rows, phases.tolist()):
+        if not (uniform and gamma == plan.first_gamma):
+            plan.first_gamma, color[...] = None, 2.0**-n if uniform else row  # None until the layer passes its check
+            _color_block(apply_phase_gate_level(plan.register, plan.inst.graph, gamma), 4**n, "after the phase layer")
+            plan.first_gamma = gamma if uniform else None
+        row[...] = color
 
 
 def _measure(plan: _Plan, rows: np.ndarray, scratch: np.ndarray) -> list[float]:
     """Raise unless every row of a (B, D) stack of plan's register kept unit norm (NaN fails too); then each row's own
-    <cost>.  plan.weight scales both sums to the full register's."""
+    <cost>.  plan.weight scales both sums to the full register's.  No row holds ancillas: _phase_layer checks them."""
     cost, weight = plan.cost, plan.weight
     probs = np.abs(rows, out=scratch.view(float)[:, : rows.shape[1]])
     for norm in np.sqrt(weight * np.add.reduce(np.square(probs, out=probs), axis=1)).tolist():
         if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError(f"statevector norm drifted to {norm}")
-    if rows.shape[1] > cost.values.size:
-        for row in rows:
-            _color_block(row, cost.values.size, "at measurement")
-    return [weight * float(row @ cost.values) for row in probs[:, : cost.values.size]]
+    return [weight * float(row @ cost.values) for row in probs]
 
 
 def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
-    """Depth-1 energies over a grid: entry (i, j) is <cost> after gamma_i then beta_j.
+    """Depth-1 energies over a grid: entry (i, j) is <cost> after gamma_i then beta_j, a one-row plan run's bit for bit.
 
-    One phase layer per gamma on one register; its color block (on GATE the ancilla blocks, checked empty, hold
-    exact zeros) is copied into one row per beta, mixed and measured in stacks of at most STACK_AMPLITUDES
-    amplitudes beside a scratch stack that also takes the phase gather: entries are one-row plan runs', bit for bit.
+    One _energies call over the gamma-major cells, so a GATE plan runs one gate layer per gamma.
     """
     if inst.depth != 1:
         raise ValueError(f"energy_grid evaluates depth-1 circuits, got depth {inst.depth}")
     gammas, betas = (np.asarray(x, dtype=float) for x in (gammas, betas))
     if gammas.ndim != 1 or betas.ndim != 1:
         raise ValueError("gammas and betas must be 1-D")
-    plan = _Plan(inst)  # the register's cost, weight and mixer layout, with the levels built first; no buffers
-    size = plan.cost.values.size
-    per_call = max(1, STACK_AMPLITUDES // size)
-    register = np.empty((1, plan.state.shape[1]), dtype=complex)
-    stack, scratch = (np.empty((min(max(betas.size, 1), per_call), size), dtype=complex) for _ in range(2))
-    energies = np.empty((gammas.size, betas.size))
-    for i, gamma in enumerate(gammas[:, None, None]):
-        (phases,) = _layer_phases(plan, gamma[None])  # one exp per gamma: a table of them could outgrow a state
-        _phase_layer(plan, register, phases, scratch[:1], uniform=True)
-        state = _color_block(register[0], size, "after the phase layer")
-        for start in range(0, betas.size, per_call):
-            chunk = betas[start : start + per_call, None]
-            rows, free = stack[: len(chunk)], scratch[: len(chunk)]
-            rows[...] = state
-            mixed, free = _mix(rows, free, _mixer_blocks(chunk, plan.layout), _mix_passes(rows, free, plan.layout))
-            energies[i, start : start + len(chunk)] = _measure(plan, mixed, free)
-    return energies
+    cells = np.stack(np.meshgrid(gammas, betas, indexing="ij"), axis=-1).reshape(-1, 2)
+    return _energies(_Plan(inst), cells).reshape(gammas.size, betas.size)
 
 
 def _energies(plan: _Plan, thetas: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from ttqaoa.qaoa_model import (
     TWO_PI,
     CostDiagonal,
     build_cost_diagonal,
+    check_gamma_period,
     cut_from_energy,
     decode_bitstring,
     interaction_table,
@@ -502,10 +503,28 @@ def test_energy_grid_rejects_ancilla_mass_before_dropping_it(monkeypatch):
         energy_grid(make_instance(G4, 1, Backend.GATE), [0.3], [0.1])
 
 
+def test_gate_energy_grid_runs_one_gate_layer_per_gamma(monkeypatch):
+    # n=5 stacks 8 gate rows: 20 betas per gamma straddle stacks, and each gamma's rows still share one gate layer,
+    # copied from the plan's register into every later row with that first-layer gamma.
+    inst = make_instance(random_complete_graph(5, 2), 1, Backend.GATE)
+    gammas, betas = [0.4, 2.9, 5.1], np.linspace(0.0, 3.0, 20)
+    real_phase, calls = simulator.apply_phase_gate_level, []
+
+    def counting_phase(state, g, gamma):
+        calls.append(gamma)
+        return real_phase(state, g, gamma)
+
+    monkeypatch.setattr(simulator, "apply_phase_gate_level", counting_phase)
+    grid = energy_grid(inst, gammas, betas)
+    assert calls == gammas
+    monkeypatch.undo()
+    for (i, gamma), (j, beta) in itertools.product(enumerate(gammas), enumerate(betas[::7])):
+        assert grid[i, 7 * j] == _energies(_Plan(inst), [[gamma, beta]])[0]
+
+
 def test_energy_grid_peaks_below_three_states():
-    # One register, one row stack and one scratch stack of one row each at n=8, allocated after the cost
-    # levels are built, plus the level index that the first phase layer builds: a fresh register per gamma
-    # beside a persistent scratch stack reads four states.
+    # The grid's plan at n=8: two one-row buffers of the half register, allocated after its half cost's levels are
+    # built.  A fresh register per gamma beside a persistent scratch stack once read four states.
     inst = make_instance(random_complete_graph(8, 5), 1)
     state_bytes = 4**8 * 16
     tracemalloc.start()
@@ -515,7 +534,7 @@ def test_energy_grid_peaks_below_three_states():
     finally:
         tracemalloc.stop()
     assert peak < 3.1 * state_bytes + inst.cost.levels[1].nbytes
-    # With the levels built beforehand, only the grid's own buffers remain.
+    # The plan builds its own half cost's levels, so the instance's, built above, change nothing.
     tracemalloc.start()
     try:
         energy_grid(inst, [0.3, 1.2, 2.0], [0.4, 1.1, 2.9])
@@ -527,15 +546,19 @@ def test_energy_grid_peaks_below_three_states():
 
 def test_half_register_plans_keep_half_size_buffers():
     # At n=8 a DIAGONAL plan runs the 2**15-amplitude color-swap half register: its two buffers hold one such row
-    # each, half a full state.  energy_grid keeps one register and two row stacks of that width beside the half
-    # register's cost and level index (2.02 states measured, 3.51 on the full register), and the first run_qaoa
-    # frees its plan before it expands the state (1.52 states measured, 2.52 on the full register).
+    # each, half a full state.  energy_grid runs a plan, whose buffers sit beside the half register's cost and level
+    # index (1.52 states measured; 2.02 with a register and two row stacks of its own, 3.51 on the full register),
+    # and the first run_qaoa frees its plan before it expands the state (1.52 states measured, 2.52 on the full
+    # register).  A GATE plan's buffers hold the 4**n color amplitudes, its gate layers run on one ancilla register.
     plan = _Plan(make_instance(random_complete_graph(8, 5), 2))
     _energies(plan, np.full((3, 4), 0.7))
     assert plan.state.shape == plan.scratch.shape == (1, 2**15) and not np.shares_memory(plan.state, plan.scratch)
+    gate = _Plan(make_instance(K3, 2, Backend.GATE))
+    _energies(gate, np.full((3, 4), 0.7))
+    assert gate.state.shape == gate.scratch.shape == (3, 4**3) and gate.register.shape == (4**4,)
     grid_inst, run_inst = make_instance(random_complete_graph(8, 5), 1), make_instance(random_complete_graph(8, 4), 2)
     for run, states in (
-        (lambda: energy_grid(grid_inst, [0.3, 1.2, 2.0], [0.4, 1.1, 2.9]), 2.1),
+        (lambda: energy_grid(grid_inst, [0.3, 1.2, 2.0], [0.4, 1.1, 2.9]), 1.6),
         (lambda: run_qaoa(run_inst, ParameterVector((0.4, 1.3), (0.9, 0.2))), 1.6),
     ):
         tracemalloc.start()
@@ -746,17 +769,17 @@ def test_refinement_circuit_equals_reference_bit_for_bit(graph):
 
 def test_stacked_energies_gate_backend_equal_reference():
     rng = np.random.default_rng(47)
-    # K3's 256-amplitude gate register stacks 32 rows, G4's 1,024 stack 8.
-    for graph in (K3, G4):
+    # GATE rows hold the color register: K3's 64 amplitudes stack 128 rows, G4's 256 stack 32.
+    for graph, counts in ((K3, (1, 5, 129)), (G4, (1, 5, 33))):
         for p in (1, 2, 3):
             inst = make_instance(graph, p, Backend.GATE)
-            for count in (1, 5, 17, 33):
+            for count in counts:
                 assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
 
 
 def test_stacked_energies_reject_ancilla_mass_in_any_row(monkeypatch):
-    # Only GATE rows are wider than the color block, so only they reach _measure's ancilla check; a leak in the
-    # last of three rows must still raise.
+    # GATE rows run their gate layers on the plan's ancilla register, checked after every layer: a leak in the last
+    # of three rows must still raise.  Their gammas differ, as rows that share a first-layer gamma share one layer.
     real_phase, calls = simulator.apply_phase_gate_level, []
 
     def leaky_phase(state, g, gamma):
@@ -767,8 +790,8 @@ def test_stacked_energies_reject_ancilla_mass_in_any_row(monkeypatch):
         return state
 
     monkeypatch.setattr(simulator, "apply_phase_gate_level", leaky_phase)
-    with pytest.raises(ValueError, match="at measurement"):
-        _energies(_Plan(make_instance(K3, 1, Backend.GATE)), np.full((3, 2), 0.3))
+    with pytest.raises(ValueError, match="after the phase layer"):
+        _energies(_Plan(make_instance(K3, 1, Backend.GATE)), [[0.3, 0.3], [0.5, 0.3], [0.7, 0.3]])
     assert len(calls) == 3
 
 
@@ -799,9 +822,10 @@ def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
     _energies(_Plan(make_instance(random_complete_graph(7, 0), 1)), np.zeros((2, 2)))
     assert seen == [(1, 2**13)] * 2
     seen.clear()
-    # The gate register carries two ancillas: 1,024 amplitudes on G4, so 8 rows per stack.
-    _energies(_Plan(make_instance(G4, 2, Backend.GATE)), np.zeros((17, 4)))
-    assert seen == [(8, 1024)] * 4 + [(1, 1024)] * 2
+    # GATE rows hold the color register, their ancillas only in the plan's register: 256 amplitudes on G4, so 32
+    # rows per stack.
+    _energies(_Plan(make_instance(G4, 2, Backend.GATE)), np.zeros((33, 4)))
+    assert seen == [(32, 256)] * 2 + [(1, 256)] * 2
     for bad in (np.zeros((3, 3)), np.zeros(4), np.zeros((1, 2, 4))):
         with pytest.raises(ValueError):
             _energies(_Plan(make_instance(G4, 2)), bad)
@@ -841,7 +865,23 @@ def test_plan_views_follow_buffer_growth(graph, backend):
         assert any(np.shares_memory(rows, buf) for buf in (plan.state, plan.scratch))
         for row, energy, t in zip(rows, energies, thetas):
             want, want_energy = reference_row(inst, ParameterVector.from_flat(t))
-            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(row.view(np.uint64), want[: row.size].view(np.uint64))  # GATE's: the color block
+            assert energy == want_energy
+
+
+def test_gate_plan_reuses_a_first_layer_only_while_its_register_holds_it():
+    # Rows that share gamma_1 share one first gate layer, within a stack and across runs; a second layer overwrites
+    # the register, so the next run's gamma_1 rows must run their first layer again.
+    inst = make_instance(K3, 2, Backend.GATE)
+    plan = _Plan(inst)
+    rng = np.random.default_rng(69)
+    for first_gammas in ((0.9, 0.9, 0.9), (0.9, 0.9), (1.7, 0.9, 1.7)):
+        thetas = rng.uniform(0.0, 2 * math.pi, (len(first_gammas), 4))
+        thetas[:, 0] = first_gammas
+        rows, energies = plan.run(thetas)
+        for row, energy, t in zip(rows, energies, thetas):
+            want, want_energy = reference_row(inst, ParameterVector.from_flat(t))
+            assert np.array_equal(row.view(np.uint64), want[: row.size].view(np.uint64))
             assert energy == want_energy
 
 
@@ -958,6 +998,22 @@ def test_energy_keeps_the_angle_symmetries(graph_name, backend):
             variants = np.vstack([theta, -theta, theta + math.pi * eye[p:], theta + TWO_PI * eye[:p]])
             energies = _energies(plan, variants)
             assert np.max(np.abs(energies - energies[0])) < 1e-13
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_gamma_period_check_keeps_no_gate_level_index(backend):
+    # A GATE circuit gathers no phases by level, so its period check must leave no per-entry level index cached on
+    # the instance (32 MiB at n=11); a DIAGONAL plan's check reads the half cost's levels, which the plan builds.
+    triangle = parse_edge_list("3 3\n0 1 0.5\n1 2 1.3\n0 2 1.0")
+    for graph, refused in ((load_graph(str(GRAPHS / "k5_weighted.edgelist")), False), (triangle, True)):
+        plan = _Plan(make_instance(graph, 1, backend))
+        if refused:
+            with pytest.raises(ValueError, match=re.escape("2*pi gamma period")):
+                check_gamma_period(plan.cost)
+        else:
+            check_gamma_period(plan.cost)
+        assert ("levels" in vars(plan.cost)) == (backend is Backend.DIAGONAL)
+        assert "levels" not in vars(plan.inst.cost)
 
 
 @pytest.mark.parametrize("backend", list(Backend))
