@@ -50,6 +50,8 @@ class Graph:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
             canonical.append((a, b, w))
+        if not np.isfinite(total := sum(w for _, _, w in canonical)):
+            raise ValueError(f"edge weights sum to {total}, which is not finite")
         object.__setattr__(self, "edges", tuple(canonical))
 
 
@@ -90,7 +92,7 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise GraphFormatError(f"malformed edge line {ln!r}: non-numeric token") from None
         edges.append((i, j, w))
-    # Graph owns every structural check: vertex count, ranges, loops, weights, duplicates.
+    # Graph owns every structural check: vertex count, ranges, loops, weights and their total, duplicates.
     try:
         return Graph(n, tuple(edges))
     except ValueError as exc:
@@ -119,27 +121,24 @@ def brute_force_max_cut(g: Graph, k: int) -> tuple[tuple[int, ...], float]:
     Enumerates all k**n colorings in lexicographic order (vertex 0 most
     significant) and returns the first coloring attaining the maximum, so
     ties break to the lexicographically smallest optimal coloring.  A chunk of
-    at most 2**16 colorings fixes a prefix and lays later vertices on axes (the
-    first on a run of colors), in C order; prefix-major chunks stay lexicographic.
+    at most 2**16 colorings fixes a prefix and lays the later vertices on axes
+    in C order, so prefix-major chunks stay lexicographic.
     """
     if k < 1:
         raise ValueError(f"color count must be positive, got {k}")
     if k**g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"instance too large: {k}**{g.n} colorings exceed the {BRUTE_FORCE_LIMIT} guard")
 
-    full = max(t for t in range(g.n) if k**t <= 1 << 16)  # trailing vertices with all k colors in every chunk
-    lead, run = g.n - 1 - full, (1 << 16) // k**full  # vertex lead takes up to run colors per chunk
-    axes = [np.arange(k).reshape((k,) + (1,) * (g.n - 1 - v)) for v in range(lead + 1, g.n)]
+    full = max(t for t in range(g.n + 1) if k**t <= 1 << 16)  # trailing vertices on axes in every chunk
+    axes = [np.arange(k).reshape((k,) + (1,) * (g.n - 1 - v)) for v in range(g.n - full, g.n)]
     best_value, best = -1.0, ()
-    for *prefix, first in itertools.product(*[range(k)] * lead, range(0, k, run)):
-        colors = (*prefix, np.arange(k)[first : first + run].reshape((-1,) + (1,) * full), *axes)
-        cuts = np.zeros(colors[lead].shape[:1] + (k,) * full)
+    for prefix in itertools.product(range(k), repeat=g.n - full):
+        colors, cuts = (*prefix, *axes), np.zeros((k,) * full)
         for i, j, w in g.edges:
             cuts += w * (colors[i] != colors[j])
         pos = int(np.argmax(cuts))
         if cuts.flat[pos] > best_value:
-            at = np.unravel_index(pos, cuts.shape)
-            best_value, best = float(cuts.flat[pos]), (*prefix, *(c.ravel()[a] for c, a in zip(colors[lead:], at)))
+            best_value, best = float(cuts.flat[pos]), (*prefix, *np.unravel_index(pos, cuts.shape))
     return tuple(int(c) for c in best), best_value
 
 

@@ -318,6 +318,13 @@ def test_main_brute(tmp_path):
         assert cut_value(parse_edge_list(text), report["coloring"]) == expected
 
 
+def test_main_brute_refuses_weights_whose_total_overflows(tmp_path, capsys):
+    # Each weight is finite, but an optimal cut of inf would print as Infinity, which is not JSON.
+    graph = write(tmp_path, "huge.txt", "3 3\n0 1 1e308\n0 2 1e308\n1 2 1e308\n")
+    assert main(["brute", "--graph", graph, "--k", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: edge weights sum to inf, which is not finite\n")
+
+
 def test_main_landscape_deterministic(tmp_path):
     graph = write(tmp_path, "edge.txt", EDGE_TEXT)
     out = tmp_path / "scan.csv"

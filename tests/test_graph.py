@@ -99,6 +99,7 @@ def test_parse_comments_default_weight_and_canonicalization():
         "2 1\n0 x 1",
         "2 1\n0 1 nan",
         "2 1\n0 1 inf",
+        "3 3\n0 1 1e308\n0 2 1e308\n1 2 1e308",
     ],
 )
 def test_parse_errors(text):
@@ -115,6 +116,9 @@ def test_graph_constructor_validation():
         Graph(2, ((0, 1, 1.0), (1, 0, 2.0)))
     with pytest.raises(ValueError):
         Graph(2, ((0, 1, -1.0),))
+    # Each weight is finite, but their total overflows.
+    with pytest.raises(ValueError, match="^edge weights sum to inf, which is not finite$"):
+        Graph(3, ((0, 1, 1e308), (0, 2, 1e308), (1, 2, 1e308)))
 
 
 def test_total_weight():
@@ -199,9 +203,19 @@ def test_brute_force_multi_chunk_ties_match_reference():
     assert 3**11 > 2 * (1 << 16)
     for g in (Graph(11, ()), sparse, weighted):
         assert brute_force_max_cut(g, 3) == ref_brute_force(g, 3)
-    # 5**8 colorings: a chunk holds 5**6 of them per color of vertex 1, which takes colors 0-3, then 4.
+    # 5**8 colorings: each of 25 chunks fixes the colors of vertices 0 and 1 and holds the 5**6 colorings of the rest.
     five = Graph(8, tuple((i, j, float(rng.integers(1, 4))) for i, j in pairs if j < 8 and rng.random() < 0.4))
     assert brute_force_max_cut(five, 5) == ref_brute_force(five, 5)
+
+
+@pytest.mark.parametrize("n, k", [(7, 6), (6, 7), (7, 7)])
+def test_brute_force_many_colors_matches_reference(n, k):
+    # Several chunks of 7**5 or 6**6 colorings, each fixing the colors of the first one or two vertices; every
+    # optimum ties with its color permutations in other chunks.
+    rng = np.random.default_rng(43 + k * n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n, tuple((i, j, float(rng.integers(1, 4))) for i, j in pairs if rng.random() < 0.6))
+    assert brute_force_max_cut(g, k) == ref_brute_force(g, k)
 
 
 def test_brute_force_peak_memory_on_k12():
