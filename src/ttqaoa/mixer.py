@@ -1,111 +1,171 @@
-"""The mixer kernel: exp(-i*beta*X) on every qubit of a (B, D) stack of registers, as block passes between two
+"""The mixer kernel: exp(-i*beta*X) on every qubit of a (B, D) stack of registers, as real block passes between two
 buffers, on the full color register or on the color-swap half register that DIAGONAL circuits run on.
 
-A block of up to four qubits takes one matmul, its matrices built for all betas at once from exponents and Hamming
-gathers made at import, bit for bit Python's c ** (q - h) * s ** h: np.float_power calls libm's pow as Python does,
-where np.power's SIMD loop can move a last bit.  A block pass reads its qubits contiguously from the top of the
-register and writes them transposed to the bottom of the other buffer, so a mixer ends on the qubit order it began
-with.
+The frame.  With G = diag((-i)**popcount(z)) over the register's qubits, RX(beta) on every qubit is G R G, where R is
+[[cos, sin], [sin, -cos]] on every qubit: real.  The plans hold phi = G**-1 psi, so the mixer proper is R alone, and the
+simulator folds the G factors into its phase layers (see its module docstring).  An entry (j, k) of R on w qubits is
+cos**(w-h) * sin**h * (-1)**popcount(j & k), h = Hamming(j, k): the terms are built for all betas at once by
+np.float_power, which calls libm's pow as Python's ** does, and gathered with their signs, bit for bit Python's
+c ** (w - h) * s ** h * (-1) ** popcount(j & k).
 
-On the half register (see the simulator module), with y on top, the mixer is RX on its 2n - 1 qubits plus vertex
-0's low-bit RX, which there reads psi <- cos * psi - i sin * psi with y complemented: the color swap, folded into the
-first block while y fits in it (n <= 5), a pass of its own above.
+A block pass is one real matmul over the complex stack viewed as floats: the register's qubits plus a re/im bit at the
+bottom.  It reads its bits contiguously from the top and writes them transposed to the bottom of the other buffer, so a
+mixer ends on the bit order it began with, and its last block holds the re/im bit: R on its qubits, times the 2x2
+identity.
+
+On the half register (see the simulator module), with y on top, the mixer is R on its 2n - 1 qubits after vertex 0's
+low-bit RX, which in the frame reads phi(y) <- cos * phi(y) + kappa * (-1)**popcount(y) * sin * phi(y complemented),
+kappa = (-i)**(2 - n).  For even n kappa is real, and that color swap folds into the first block while y fits in it; for
+odd n (kappa = +-i), or a wider y, it is a complex pass of its own, before the blocks.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
+
 import numpy as np
 
-from .qaoa_model import MAX_QUBITS
-
-# Hamming distance between 4-bit block indices; its top-left corners serve the narrower blocks.
-_HAMMING = np.array([[bin(j ^ k).count("1") for k in range(16)] for j in range(16)])
+_UNITS = (1, -1j, -1, 1j)  # (-i)**k, k mod 4
 
 
-def _mixer_layout(n: int, half: bool) -> list[tuple[int, int]]:
-    """Kinds (q, m) of an n-vertex mixer's passes, top qubits first; _block_terms defines each kind.
+def _popcount(x: int) -> int:
+    return bin(x).count("1")
 
-    Blocks of 4 qubits and a narrower last one cover the full register's 2n color qubits (two vertices a block, odd
-    n's last vertex alone) or the half register's 2n - 1.  There the color swap joins the first block when y, its
-    top n - 1 qubits, fits in it (n <= 5), and is a pass of its own, before the blocks, when y does not.
+
+@contextlib.contextmanager
+def _ufunc_buffer(entries: int):
+    """numpy's ufunc buffer at entries (16 at least) while the block runs.  A ufunc whose contiguous runs are shorter
+    than its buffer (8,192 entries by default) allocates that buffer on every call; one run long, it allocates none."""
+    old = np.setbufsize(max(16, entries))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+def _mixer_layout(n: int, half: bool) -> list[tuple[int, int, int]]:
+    """Kinds (q, m, tail) of an n-vertex mixer's passes, top bits first; _block_terms defines each kind.
+
+    The register's qubits (2n, or 2n - 1 on the half register) and the re/im bit, b bits, split into as few passes as
+    blocks of at most 3 bits allow for 8 < b <= 17, of at most 4 otherwise, wider blocks last.  Measured on one core
+    with a 2 MiB L2: to b = 8 a pass costs mostly its call (G4: two 16x16 passes, 2x faster than three); to b = 17 the
+    two buffers fit in L2 and the products' work counts (n=8: six passes, 13% faster than five); above, the passes are
+    memory-bound (n=10: five 16x16 passes, 5% faster than six).  A block is (q, -1, tail): R on q qubits, over the
+    re/im bit too when tail = 1 (the last).  On the half register the color swap folds into the first block, (q, n - 1,
+    tail), for even n while y, the top n - 1 qubits, fits in it; else it is a pass (0, n - 1, 0) before the blocks.
     """
-    qubits = 2 * n - half
-    widths = [4] * (qubits // 4) + [qubits % 4] * (qubits % 4 > 0)
-    if half and n - 1 <= widths[0]:
-        return [(widths[0], n - 1)] + [(q, -1) for q in widths[1:]]
-    return [(0, n - 1)] * half + [(q, -1) for q in widths]
+    bits = 2 * n - half + 1
+    passes = -(-bits // (3 if 8 < bits <= 17 else 4))
+    widths = [bits // passes + (k >= passes - bits % passes) for k in range(passes)]
+    kinds = [(w, -1, 0) for w in widths[:-1]] + [(widths[-1] - 1, -1, 1)]
+    if not half:
+        return kinds
+    if n % 2 == 0 and n - 1 <= kinds[0][0]:
+        return [(kinds[0][0], n - 1, kinds[0][2])] + kinds[1:]
+    return [(0, n - 1, 0)] + kinds
 
 
-def _block_terms(q: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """cos's exponents w - h and -i*sin's h (h = 0..w), in their powers' dtypes, then the pairs of terms that a
-    folded kind adds (None on the others) and the gather of its matrix entries from its terms (or sums).
+@functools.cache
+def _block_terms(q: int, m: int, tail: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """A block kind's cos exponents w - h and sin exponents h (h = 0..w), the pairs of signed terms that a folded kind
+    sums (None on the others), and the gather of its matrix entries from its signed terms (or sums).
 
-    (q, -1) is exp(-i*beta*X) on q qubits: entry (j, k) is term h = Hamming(j, k), w = q.  (q, m) with m >= 0 folds
-    the color swap into it, its top m qubits holding all of y: w = q + 1, and entry (j, k) adds term 1 + Hamming(j, k
-    with y complemented), the path through vertex 0's low bit; its few distinct pairs of terms are summed, then
-    gathered.  (0, m) is the swap alone: the terms cos and -i*sin of psi and of psi with its m y qubits complemented.
+    Signed term t + (w + 1) * neg is (-1)**neg * cos**(w - t) * sin**t, and 2 * (w + 1) is 0.0.  (q, -1, 0) is R on q
+    qubits, w = q: entry (j, k) is term Hamming(j, k), negative when popcount(j & k) is odd.  (q, m, tail) with m >= 0
+    is R times the color swap, which acts first, on y, its top m qubits: w = q + 1, and entry (j, k) is the sum of that
+    term (now times cos) and, with k' = k with y complemented, term 1 + Hamming(j, k') times kappa's sign, y's parity in
+    k' and popcount(j & k')'s.  tail = 1 adds the re/im bit below: entry (j, k) is 0.0 where j and k differ in bit 0,
+    else the entry (j >> 1, k >> 1).
     """
-    if q == 0:
-        return 1 - np.arange(2.0), np.arange(2.0) + 0j, None, np.arange(2)
-    width, hamming, sums = q + (m >= 0), _HAMMING[: 1 << q, : 1 << q], None
+    width = q + (m >= 0)
+    zero = 2 * (width + 1)
+
+    def signed(t: int, negative: bool) -> int:
+        return t + (width + 1) * negative
+
+    def entry(j: int, k: int) -> tuple[int, ...]:
+        terms = (signed(_popcount(j ^ k), _popcount(j & k) % 2),)
+        if m >= 0:
+            swapped = k ^ ((1 << m) - 1) << (q - m)
+            sign = _UNITS[(1 - m) % 4].real * (-1) ** (_popcount(swapped >> (q - m)) + _popcount(j & swapped))
+            terms += (signed(1 + _popcount(j ^ swapped), sign < 0),)
+        return terms
+
+    size = 1 << q + tail
+    codes = [[entry(j >> tail, k >> tail) if not (j ^ k) & tail else (zero,) * (1 + (m >= 0)) for k in range(size)]
+             for j in range(size)]
+    sums = None
     if m >= 0:
-        swapped = hamming[:, np.arange(1 << q) ^ ((1 << m) - 1) << (q - m)] + 1
-        codes = (hamming * (width + 1) + swapped).tolist()
         pairs = sorted({code for row in codes for code in row})
-        sums, hamming = np.divmod(pairs, width + 1), np.array([[pairs.index(code) for code in row] for row in codes])
-    return width - np.arange(width + 1.0), np.arange(width + 1.0) + 0j, sums, hamming
+        sums, codes = np.array(pairs).T, [[pairs.index(code) for code in row] for row in codes]
+    else:
+        codes = [[code for code, in row] for row in codes]
+    return width - np.arange(width + 1.0), np.arange(width + 1.0), sums, np.array(codes)
 
 
-_BLOCK_TERMS = {
-    kind: _block_terms(*kind) for n in range(1, MAX_QUBITS // 2 + 1) for half in (False, True)
-    for kind in _mixer_layout(n, half)
-}
+def _swap_terms(cos: np.ndarray, sin: np.ndarray, m: int) -> np.ndarray:
+    """From (..., 1, 1) cos and sin, the color swap's (..., 1 + 2**m, 1) complex terms: cos, then per y = 0..2**m-1
+    kappa * (-1)**popcount(y) * sin, kappa = (-i)**(1 - m) real or imaginary, each with its other part +0.0."""
+    kappa = _UNITS[(1 - m) % 4]
+    signs = np.array([(-1.0) ** _popcount(y) * (kappa.real + kappa.imag) for y in range(1 << m)])
+    terms = np.zeros((*cos.shape[:-2], 1 + (1 << m), 1), dtype=complex)
+    terms.real[..., 0, 0] = cos[..., 0, 0]
+    (terms.imag if kappa.imag else terms.real)[..., 1:, 0] = signs * sin[..., 0]
+    return terms
 
 
-def _mixer_blocks(betas: np.ndarray, layout: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Per distinct kind of a mixer layout, in first-use order, its (*betas.shape, ...) matrices (or swap terms).
+def _mixer_blocks(betas: np.ndarray, layout: list[tuple[int, int, int]]) -> list[np.ndarray]:
+    """Per distinct kind of a mixer layout, in first-use order, its (*betas.shape, ...) real matrices (or swap terms).
 
-    Each term is cos**(w-h) * (-i*sin)**h, gathered: take, unlike an index gather, keeps the beta axes outermost, so
-    every matrix of a stack takes a lone matrix's BLAS path.
+    take, unlike an index gather, keeps the beta axes outermost, so every matrix of a stack takes a lone matrix's BLAS
+    path.
     """
     betas = np.asarray(betas)[..., None]
-    cos, sin = np.cos(betas), -1j * np.sin(betas)
+    cos, sin = np.cos(betas), np.sin(betas)
     blocks = []
-    for c, s, sums, gather in map(_BLOCK_TERMS.get, dict.fromkeys(layout)):
-        terms = np.float_power(cos, c) * np.power(sin, s)
+    for q, m, tail in dict.fromkeys(layout):
+        if not q:
+            blocks.append(_swap_terms(cos, sin, m))
+            continue
+        c, s, sums, gather = _block_terms(q, m, tail)
+        terms = np.float_power(cos, c) * np.float_power(sin, s)
+        table = np.concatenate([terms, -terms, np.zeros_like(cos)], axis=-1)
         if sums is not None:
-            terms = terms.take(sums[0], axis=-1) + terms.take(sums[1], axis=-1)
-        blocks.append(terms.take(gather, axis=-1))
+            table = table.take(sums[0], axis=-1) + table.take(sums[1], axis=-1)
+        blocks.append(table.take(gather, axis=-1))
     return blocks
 
 
-def _mix_passes(state: np.ndarray, scratch: np.ndarray, layout: list[tuple[int, int]]) -> list[tuple]:
-    """Per pass of a mixer layout on a (B, D) stack that starts in state: (k, src, dst, swap), k its matrices' place.
+def _mix_passes(state: np.ndarray, scratch: np.ndarray, layout: list[tuple[int, int, int]]) -> list[tuple]:
+    """Per pass of a mixer layout on a complex (B, D) stack that starts in state: (k, src, dst, swap), k its matrices'
+    place.
 
-    A block pass reads its q qubits contiguously from the top of src and writes them transposed to the bottom of dst,
-    so the blocks end on the starting qubit order; a leading axis holds GATE's ancillas.  The swap pass works in
-    place on its (B, 2**m, rest) view, with dst as a temporary.
+    A block pass reads its bits contiguously from the top of src, viewed as floats, and writes them transposed to the
+    bottom of dst, so the blocks end on the starting bit order; a leading axis holds GATE's ancillas.  The swap pass
+    works in place on its complex (B, 2**m, rest) view, with dst as a temporary.
     """
-    rows, kinds, qubits, passes = len(state), list(dict.fromkeys(layout)), sum(q for q, _ in layout), []
-    for q, m in layout:
-        if q == 0:
+    rows, kinds, bits, passes = len(state), list(dict.fromkeys(layout)), sum(q + t for q, _, t in layout), []
+    for kind in layout:
+        q, m, tail = kind
+        if not q:
             src = state.reshape(rows, 1 << m, -1)
-            passes.append((kinds.index((q, m)), src, scratch.reshape(src.shape), True))
+            passes.append((kinds.index(kind), src, scratch.reshape(src.shape), True))
             continue
-        size, rest = 1 << q, 1 << qubits - q
-        dst = scratch.reshape(rows, -1, rest, size).swapaxes(2, 3)
-        passes.append((kinds.index((q, m)), state.reshape(rows, -1, size, rest), dst, False))
+        size, rest = 1 << q + tail, 1 << bits - q - tail
+        dst = scratch.view(float).reshape(rows, -1, rest, size).swapaxes(2, 3)
+        passes.append((kinds.index(kind), state.view(float).reshape(rows, -1, size, rest), dst, False))
         state, scratch = scratch, state
     return passes
 
 
 def _mix(state: np.ndarray, scratch: np.ndarray, matrices: list, passes: list) -> tuple:
-    """Mix a (B, D) stack by its per-kind matrices over its _mix_passes: (mixed, free)."""
+    """Mix a (B, D) stack in the frame by its per-kind matrices over its _mix_passes: (mixed, free)."""
     for k, src, dst, swap in passes:
-        if swap:  # psi <- cos * psi - i sin * psi with y complemented, which reverses y's axis
-            np.copyto(dst, src[:, ::-1])  # a ufunc reading the reversed axis would buffer 8,192 entries
-            dst *= matrices[k][..., 1:]
-            src *= matrices[k][..., :1]
-            src += dst
+        if swap:  # phi(y) <- cos * phi(y) + kappa * (-1)**popcount(y) * sin * phi(y complemented): y's axis reversed
+            with _ufunc_buffer(src.shape[-1]):  # runs of rest entries
+                np.multiply(src[:, ::-1], matrices[k][..., 1:, :], out=dst)
+                src *= matrices[k][..., :1, :]
+                src += dst
         else:
             np.matmul(matrices[k], src, out=dst)
             state, scratch = scratch, state

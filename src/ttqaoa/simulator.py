@@ -19,6 +19,17 @@ _color_block drops them, after checking that they hold no mass.
 The gates address qubits through strided views of the state.  The mixer
 kernel, on either register, is the mixer module's.
 
+Plan circuits run in a frame.  With G = diag((-i)**popcount(z)) over the
+register's qubits, the mixer is G R G with R real (see the mixer module), so
+a plan holds phi = G**-1 psi and mixes by R alone.  Between two phase layers
+P, G P G = P G**2 with G**2 = (-1)**popcount, and the first layer's G meets
+the uniform start, so the frame adds no pass: a DIAGONAL layer gathers its
+phases times (-i)**k (first) or (-1)**k (later), k = popcount mod 4, from a
+4L table at level + L * k, and a GATE row takes the same factor per entry as
+it is copied off the gate layer's register.  |phi| = |psi|, so norms and
+energies need no last G; _full_states applies it, and apply_mixer wraps the
+kernel in both Gs, so it stays RX on one statevector.
+
 DIAGONAL circuits run on half the register.  Flipping the low bit of every
 vertex (F) swaps colors 0 and 1 and keeps color 2, so it keeps the cost, and
 the uniform start and the mixer commute with it: every state has
@@ -33,7 +44,7 @@ one-row runs bit for bit.  A _Plan (one per solve, landscape and run_qaoa
 call) owns the cost over the register it runs, a state and a scratch buffer
 of at most (rows, D), rows = max(1, STACK_AMPLITUDES // D), and per row count
 its mixer views, dropped when the buffers grow.  The DIAGONAL phases of the L
-cost levels are exped for D // L layers at a time, so the table stays within
+cost levels are exped for D // 4L layers at a time, so the table stays within
 a state, and gathered per entry; the first layer gathers 2**-n times them
 straight into the state, bit for bit the uniform state phased, as a
 power-of-two scaling is exact.  GATE rows hold the color register: each
@@ -54,12 +65,14 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph
-from .mixer import _half_view, _mix, _mix_passes, _mixer_blocks, _mixer_layout
+from .mixer import _UNITS, _half_view, _mix, _mix_passes, _mixer_blocks, _mixer_layout, _ufunc_buffer
 from .qaoa_model import MAX_QUBITS, CostDiagonal, build_cost_diagonal
 
 NORM_TOL = 1e-10
 # Amplitudes per stacked call in _energies: a 20-row n=4 search batch ran faster as one call than 16+4.
 STACK_AMPLITUDES = 1 << 13
+# (-i)**k and (-1)**k, k = popcount mod 4: the frame's factor G and G**2 (see the module docstring).
+_FRAME_UNITS = np.array([_UNITS, (1, -1, 1, -1)], dtype=complex)
 
 
 class Backend(str, enum.Enum):
@@ -170,15 +183,36 @@ def prepare_initial(n: int, backend: Backend = Backend.DIAGONAL) -> np.ndarray:
 def apply_mixer(state: np.ndarray, beta: float, n: int) -> np.ndarray:
     """exp(-i*beta*X) on each of the 2n color qubits of one statevector; ancillas are untouched.
 
-    _mix runs it as a one-row stack between the state and a fresh buffer: its color block equals GATE plan rows bit
-    for bit, and the state the tests' RX reference to 1e-13.  A (B, D) stack or a non-scalar beta raises.
+    G R G: _mix runs R as a one-row stack between the state and a fresh buffer, between the frame's two factors G.
+    The state equals the tests' RX reference to 1e-13.  A (B, D) stack or a non-scalar beta raises.
     """
     if state.ndim != 1 or np.ndim(beta) != 0:
         raise ValueError(f"one state and scalar beta expected, got {state.shape}, {np.shape(beta)}")
     _check_qubits(state, 2 * n - 1)
     layout, pair = _mixer_layout(n, half=False), (state[None], np.empty_like(state)[None])
+    _frame(pair[0], 2 * n)
     state[...] = _mix(*pair, _mixer_blocks(np.full((1, 1), beta, dtype=float), layout), _mix_passes(*pair, layout))[0]
+    _frame(state[None], 2 * n)
     return state
+
+
+def _popcounts(qubits: int) -> np.ndarray:
+    """popcount(z) mod 4 for z < 2**qubits, as uint8: the power of -i in the frame's factor of z."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(qubits):
+        counts = np.concatenate([counts, (counts + 1) & 3])
+    return counts
+
+
+def _frame(rows: np.ndarray, qubits: int) -> np.ndarray:
+    """Multiply entry z of each row of a stack by the frame's factor (-i)**popcount(z mod 2**qubits) in place: by the
+    factors of its high and of its low qubits, two passes over tables of about 2**(qubits / 2) entries."""
+    low, units = qubits // 2, _FRAME_UNITS[0]
+    view = rows.reshape(len(rows), -1, 1 << qubits - low, 1 << low)
+    with _ufunc_buffer(1 << low):  # runs of 2**low entries
+        view *= units.take(_popcounts(qubits - low))[:, None]
+        view *= units.take(_popcounts(low))
+    return rows
 
 
 def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) -> np.ndarray:
@@ -248,7 +282,18 @@ class _Plan:
         self.cost, self.weight = inst.cost, 1.0
         if self.half:
             self.cost, self.weight = CostDiagonal(_half_view(inst.cost.values[None], n).reshape(-1), n), 2.0
-            self.cost.levels  # built now, so the level sort's temporaries are freed before any buffer exists
+            # Built now, so the level sort's temporaries are freed before any buffer exists.  The phases gather at
+            # level + L * (popcount mod 4), the frame's factor's place: the plan's half cost is its own, so its level
+            # index becomes that index in place.
+            levels, self.index = self.cost.levels
+            counts = _popcounts(2 * n - 1)
+            for k in (1, 2, 3):  # masked adds: no intp temporary beside the index
+                np.add(self.index, k * levels.size, out=self.index, where=counts == k)
+            # Per layer, the frame's factors of its phases: 2**-n * G on the first, G**2 on a later one.
+            self.units = np.repeat(_FRAME_UNITS[1:, None, :, None], inst.depth, axis=0)
+            self.units[0] = 2.0**-n * _FRAME_UNITS[0, None, :, None]
+        else:
+            self.counts = _popcounts(2 * n)  # GATE rows take the frame's factor per entry after each gate layer
         self.layout = _mixer_layout(n, self.half)
         self.state = self.scratch = np.empty((0, self.cost.values.size), dtype=complex)
         self.rows = max(1, STACK_AMPLITUDES // self.cost.values.size)
@@ -272,7 +317,7 @@ class _Plan:
         if count not in self.views:
             pair = self.state[:count], self.scratch[:count]
             cycle = _mix_passes(*pair, self.layout), _mix_passes(*pair[::-1], self.layout)
-            swaps = sum(q > 0 for q, _ in self.layout)  # layer l starts where l mixers' block passes end
+            swaps = sum(q > 0 for q, _, _ in self.layout)  # layer l starts where l mixers' block passes end
             self.views[count] = pair, [cycle[layer * swaps % 2] for layer in range(p)]
         (state, scratch), passes = self.views[count]
         tables = _layer_phases(self, thetas[:, :p].T[..., None])
@@ -284,8 +329,10 @@ class _Plan:
 
 
 def _full_states(inst: QaoaInstance, rows: np.ndarray) -> np.ndarray:
-    """Plan rows as full registers: GATE's padded with empty ancillas, DIAGONAL's expanded by psi(z XOR F) = psi(z)."""
+    """Plan rows as full registers: psi = G phi, in the plan's buffer, then GATE's padded with empty ancillas and
+    DIAGONAL's expanded by psi(z XOR F) = psi(z)."""
     n = inst.graph.n
+    _frame(rows, int(rows.shape[1]).bit_length() - 1)  # psi = G phi, in the plan's buffer
     full = np.zeros((len(rows), 1 << _register_qubits(n, inst.backend)), dtype=complex)
     if inst.backend is Backend.GATE:
         full[:, : 4**n] = rows
@@ -306,36 +353,42 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
 
 
 def _layer_phases(plan: _Plan, gammas: np.ndarray):
-    """Per layer of (p, B, 1) gammas, what _phase_layer takes: GATE's (B, 1) column, or DIAGONAL's (B, L) phases
-    exp(-0.5j * gamma * level) of the L cost levels, D // L layers per exp so that the table stays within a state."""
+    """Per layer of (p, B, 1) gammas, what _phase_layer takes: GATE's (B, 1) column, or DIAGONAL's (B, 4L) table of
+    the phases P = exp(-0.5j * gamma * level) of the L cost levels times the frame's factors, at level + L * k:
+    2**-n * P * (-i)**k on the first layer, P * (-1)**k on a later one.  The phases of D // 4L layers take one exp,
+    so that tables stay within a state while 4L <= D (integer weights give few levels: 47 at n=8)."""
     if not plan.half:
         yield from gammas
         return
     levels = plan.cost.levels[0]
-    per_exp = max(1, plan.cost.values.size // levels.size)
+    per_exp = max(1, plan.cost.values.size // (4 * levels.size))
     for start in range(0, len(gammas), per_exp):
         table = -0.5j * gammas[start : start + per_exp] * levels
-        yield from np.exp(table, out=table)
+        np.exp(table, out=table)
+        factored = table[:, :, None] * plan.units[start : start + per_exp]
+        yield from factored.reshape(*table.shape[:2], -1)
 
 
 def _phase_layer(plan: _Plan, rows: np.ndarray, phases: np.ndarray, out, uniform: bool = False) -> None:
-    """One phase layer on a (B, D) stack in place, given its _layer_phases entry: DIAGONAL gathers into out, GATE
-    runs each row on plan.register, or copies it for the first-layer gamma it holds.  uniform=True starts from the
-    uniform state, into which DIAGONAL gathers 2**-n * phases directly."""
+    """One phase layer on a (B, D) stack in place, in the frame, given its _layer_phases entry: DIAGONAL gathers into
+    out, GATE runs each row on plan.register, or reuses it for the first-layer gamma it holds, and copies it off times
+    G or G**2 per entry, gathered into out's first row.  uniform=True starts from the uniform state, into which
+    DIAGONAL gathers its first-layer table directly."""
     n = plan.inst.graph.n
     if plan.half:
         if uniform:
-            (phases * 2.0**-n).take(plan.cost.levels[1], axis=-1, out=rows, mode="clip")
+            phases.take(plan.index, axis=-1, out=rows, mode="clip")
         else:
-            rows *= phases.take(plan.cost.levels[1], axis=-1, out=out, mode="clip")
+            rows *= phases.take(plan.index, axis=-1, out=out, mode="clip")
         return
-    color = plan.register[: 4**n]
+    color, units = plan.register[: 4**n], out[0]
+    np.take(_FRAME_UNITS[0 if uniform else 1], plan.counts, out=units, mode="clip")  # G or G**2 per entry
     for row, (gamma,) in zip(rows, phases.tolist()):
         if not (uniform and gamma == plan.first_gamma):
             plan.first_gamma, color[...] = None, 2.0**-n if uniform else row  # None until the layer passes its check
             _color_block(apply_phase_gate_level(plan.register, plan.inst.graph, gamma), 4**n, "after the phase layer")
             plan.first_gamma = gamma if uniform else None
-        row[...] = color
+        np.multiply(color, units, out=row)
 
 
 def _measure(plan: _Plan, rows: np.ndarray, scratch: np.ndarray) -> list[float]:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,19 @@ def test_main_brute_refuses_weights_whose_total_overflows(tmp_path, capsys):
     graph = write(tmp_path, "huge.txt", "3 3\n0 1 1e308\n0 2 1e308\n1 2 1e308\n")
     assert main(["brute", "--graph", graph, "--k", "3"]) == 1
     assert capsys.readouterr() == ("", "error: edge weights sum to inf, which is not finite\n")
+
+
+def test_main_refuses_weights_whose_phases_overflow(tmp_path, capsys):
+    # One finite weight whose 2*pi multiple overflows: gamma * cost would reach inf, and its exp nan, with numpy
+    # RuntimeWarnings on the way to a norm error (landscape, hist) or a misleading gamma-period error (solve).
+    graph = write(tmp_path, "huge.txt", "2 1\n0 1 1e308\n")
+    commands = (["brute", "--k", "3"], ["solve", "--p", "1"], ["landscape", "--resolution", "4"])
+    for command, *options in (*commands, ["hist", "--theta", "0.7,2.8"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--graph", graph, *options]) == 1
+        assert caught == []
+        assert capsys.readouterr() == ("", "error: edge weights sum to 1e+308, whose 2*pi multiple is not finite\n")
 
 
 def test_main_landscape_deterministic(tmp_path):

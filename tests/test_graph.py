@@ -100,6 +100,7 @@ def test_parse_comments_default_weight_and_canonicalization():
         "2 1\n0 1 nan",
         "2 1\n0 1 inf",
         "3 3\n0 1 1e308\n0 2 1e308\n1 2 1e308",
+        "2 1\n0 1 1e308",
     ],
 )
 def test_parse_errors(text):
@@ -119,6 +120,10 @@ def test_graph_constructor_validation():
     # Each weight is finite, but their total overflows.
     with pytest.raises(ValueError, match="^edge weights sum to inf, which is not finite$"):
         Graph(3, ((0, 1, 1e308), (0, 2, 1e308), (1, 2, 1e308)))
+    # A finite total whose 2*pi multiple overflows: the phase angles gamma * cost would.
+    with pytest.raises(ValueError, match=r"^edge weights sum to 1e\+308, whose 2\*pi multiple is not finite$"):
+        Graph(2, ((0, 1, 1e308),))
+    assert Graph(2, ((0, 1, 1e307),)).edges == ((0, 1, 1e307),)
 
 
 def test_total_weight():

@@ -43,6 +43,17 @@ G4 = parse_edge_list("4 5\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1")
 EDGE = parse_edge_list("2 1\n0 1 1")
 K3 = parse_edge_list("3 3\n0 1 1\n0 2 1\n1 2 1")
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
+UNITS = (1, -1j, -1, 1j)  # (-i)**k
+
+
+def popcounts(size):
+    return np.array([bin(z).count("1") for z in range(size)])
+
+
+def frame(state, qubits):
+    """psi = G phi: entry z of the last axis times (-i)**popcount(z mod 2**qubits), from the frame's definition."""
+    counts = popcounts(1 << qubits)[np.arange(state.shape[-1]) % (1 << qubits)]
+    return state * np.array(UNITS)[counts % 4]
 
 
 def basis(q, z):
@@ -287,19 +298,22 @@ def mix(rows, betas, n, half=False):
 @pytest.mark.parametrize("rows", [1, 3])
 def test_mixer_stack_rows_match_one_row_calls(rows, backend):
     rng = np.random.default_rng(rows)
-    # n <= 2 mixes one-column blocks, where only the BLAS path gives a lone row's bits.
-    for n in (1, 2, 3, 4):
+    # n <= 2 mixes narrow blocks, where only the BLAS path gives a lone row's bits; n=8's half register is the
+    # benchmark's, and its six passes the narrowest layout.
+    for n in range(1, 9):
         size = len(prepare_initial(n, backend))
         stack = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
         betas = rng.uniform(-4.0, 4.0, (rows, 1))
         expected = np.concatenate([mix(row[None].copy(), beta[None], n) for row, beta in zip(stack, betas)])
         assert np.array_equal(mix(stack.copy(), betas, n), expected)
-        # apply_mixer is the one-row kernel on a single statevector.
-        for row, beta, want in zip(stack, betas[:, 0], expected):
-            assert np.array_equal(apply_mixer(row.copy(), beta, n), want)
+        # apply_mixer is the one-row kernel between the frame's factors on a single statevector: RX = G R G.
+        for row, beta in zip(stack, betas):
+            want = frame(mix(frame(row, 2 * n)[None], beta[None], n)[0], 2 * n)
+            assert np.array_equal(apply_mixer(row.copy(), beta[0], n), want)
     if backend is Backend.DIAGONAL:
-        # The half register folds the color swap into its first block up to n=5 and runs it as a pass from n=6.
-        for n in range(1, 8):
+        # The half register folds the color swap into its first block for even n <= 4, and runs it as a pass of its
+        # own for odd n (kappa = +-i) and from n=6.
+        for n in range(1, 9):
             stack = rng.standard_normal((rows, 2 ** (2 * n - 1))) + 1j * rng.standard_normal((rows, 2 ** (2 * n - 1)))
             betas = rng.uniform(-4.0, 4.0, (rows, 1))
             expected = [mix(row[None].copy(), beta[None], n, half=True)[0] for row, beta in zip(stack, betas)]
@@ -329,25 +343,44 @@ def test_mixer_keeps_zero_ancilla_blocks_exactly_zero():
 
 
 def reference_mixer_block(betas, kind):
-    """One mixer kind from the per-beta Python terms c ** (w - h) * s ** h, entry by entry from its definition: the
-    bit-for-bit reference for _mixer_blocks.  (q, -1) is RX on q qubits; (q, m) adds the path through vertex 0's low
-    bit, entry (j, k) of width w = q + 1 plus term 1 + Hamming(j, k with its top m qubits complemented); (0, m) is
-    the color swap's (cos, -i*sin)."""
-    q, m = kind
-    width = max(q, 1) + (q > 0 and m >= 0)
-    cos_sin = [(math.cos(b), -1j * math.sin(b)) for b in betas.flat]
-    terms = [[c ** (width - h) * s ** h for h in range(width + 1)] for c, s in cos_sin]
+    """One mixer kind from the per-beta Python terms, entry by entry from its definition: the bit-for-bit reference
+    for _mixer_blocks.  (q, -1, 0) is R on q qubits: entry (j, k) is c ** (q - h) * s ** h * (-1) ** popcount(j & k),
+    h = Hamming(j, k).  (q, m, tail) with m >= 0 folds in the color swap, at width w = q + 1: with k' = k with its top
+    m qubits (y) complemented, entry (j, k) adds c ** (w - h') * s ** h' times kappa = (-i) ** (1 - m), y's parity in
+    k' and (-1) ** popcount(j & k'), h' = 1 + Hamming(j, k').  tail = 1 puts the re/im bit below, times the 2x2
+    identity.  (0, m, 0) is the swap's cos, then kappa * (-1) ** popcount(y) * sin per y, as complex numbers."""
+    q, m, tail = kind
+    kappa = UNITS[(1 - m) % 4]
     if q == 0:
-        return np.array(terms).reshape(*betas.shape, 2)
-    hamming = [[bin(j ^ k).count("1") for k in range(1 << q)] for j in range(1 << q)]
-    swap = ((1 << m) - 1) << (q - m) if m >= 0 else None
+        terms = []
+        for b in betas.flat:
+            c, s = math.cos(b), math.sin(b)
+            swap = [(-1) ** bin(y).count("1") * (kappa.real + kappa.imag) * s for y in range(1 << m)]
+            terms.append([complex(c, 0.0)] + [complex(0.0, x) if kappa.imag else complex(x, 0.0) for x in swap])
+        return np.array(terms).reshape(*betas.shape[:-1], 1 + (1 << m), 1)
+    width, popcount = q + (m >= 0), lambda x: bin(x).count("1")
+
+    def paths(j, k):  # (h, sign) of each term of entry (j, k) of the q-qubit block
+        terms = [(popcount(j ^ k), (-1) ** popcount(j & k))]
+        if m >= 0:
+            swapped = k ^ ((1 << m) - 1) << (q - m)
+            sign = kappa.real * (-1) ** popcount(swapped >> (q - m)) * (-1) ** popcount(j & swapped)
+            terms.append((1 + popcount(j ^ swapped), sign))
+        return terms
+
+    size = 1 << q + tail
+    entries = [[None if (j ^ k) & tail else paths(j >> tail, k >> tail) for k in range(size)] for j in range(size)]
     blocks = []
-    for t in terms:
-        block = [[t[hamming[j][k]] for k in range(1 << q)] for j in range(1 << q)]
-        if swap is not None:
-            block = [[block[j][k] + t[hamming[j][k ^ swap] + 1] for k in range(1 << q)] for j in range(1 << q)]
+    for b in betas.flat:
+        c, s = math.cos(b), math.sin(b)
+        t = [c ** (width - h) * s ** h for h in range(width + 1)]
+        block = [[0.0] * size for _ in range(size)]
+        for j, row in enumerate(entries):
+            for k, e in enumerate(row):
+                if e is not None:
+                    block[j][k] = t[e[0][0]] * e[0][1] if len(e) == 1 else t[e[0][0]] * e[0][1] + t[e[1][0]] * e[1][1]
         blocks.append(block)
-    return np.array(blocks).reshape(*betas.shape, 1 << q, 1 << q)
+    return np.array(blocks).reshape(*betas.shape, size, size)
 
 
 def reference_mixer_blocks(betas, layout):
@@ -364,22 +397,34 @@ def test_vectorized_mixer_blocks_equal_python_terms_bit_for_bit(q):
     betas = np.concatenate([rng.uniform(-10.0, 10.0, 100_000), grid, [0.0, math.pi, -math.pi]])
     for start in range(0, betas.size, 4096):
         chunk = betas[start : start + 4096]
-        (blocks,) = simulator._mixer_blocks(chunk, [(q, -1)])
-        assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(chunk, (q, -1)).view(np.uint64))
+        (blocks,) = simulator._mixer_blocks(chunk, [(q, -1, 0)])
+        assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(chunk, (q, -1, 0)).view(np.uint64))
     # The plan builds all layers at once from a transposed (p, B, 1) view of the angle array.
     stack = betas[:96].reshape(24, 4).T[..., None]
-    (blocks,) = simulator._mixer_blocks(stack, [(q, -1)])
-    assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(stack, (q, -1)).view(np.uint64))
+    (blocks,) = simulator._mixer_blocks(stack, [(q, -1, 0)])
+    assert np.array_equal(blocks.view(np.uint64), reference_mixer_block(stack, (q, -1, 0)).view(np.uint64))
+
+
+def layout_blocks_equal_python_terms(n, half):
+    rng = np.random.default_rng(60 + n + 20 * half)
+    betas = np.concatenate([rng.uniform(-10.0, 10.0, 397), [0.0, math.pi, -math.pi]])
+    stack = betas.reshape(100, 4).T[..., None]
+    layout = simulator._mixer_layout(n, half)
+    for got, want in zip(simulator._mixer_blocks(stack, layout), reference_mixer_blocks(stack, layout), strict=True):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_half_register_mixer_blocks_equal_python_terms_bit_for_bit(n):
-    # The folded first blocks of n <= 5 and the swap terms of n >= 6, on the plan's (p, B, 1) angle view.
-    betas = np.concatenate([np.random.default_rng(60 + n).uniform(-10.0, 10.0, 397), [0.0, math.pi, -math.pi]])
-    stack = betas.reshape(100, 4).T[..., None]
-    layout = simulator._mixer_layout(n, half=True)
-    for got, want in zip(simulator._mixer_blocks(stack, layout), reference_mixer_blocks(stack, layout), strict=True):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # The folded first blocks of n = 2 and 4, the swap terms of the others (kappa = +-i for odd n), and the last
+    # block's re/im bit, on the plan's (p, B, 1) angle view.
+    layout_blocks_equal_python_terms(n, half=True)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_full_register_mixer_blocks_equal_python_terms_bit_for_bit(n):
+    # Every block width of the full register's layouts, and the last block's re/im bit.
+    layout_blocks_equal_python_terms(n, half=False)
 
 
 def test_mixer_refuses_stacks_and_non_scalar_betas():
@@ -610,20 +655,23 @@ def test_phase_diagonal_stack_rows_match_one_row_calls():
     rng = np.random.default_rng(31)
     for graph in (G4, random_complete_graph(5, 1)):
         cost = build_cost_diagonal(graph)
-        plan = _Plan(make_instance(graph, 1))
+        plan = _Plan(make_instance(graph, 2))
         size = plan.cost.values.size
         stack = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
         gammas = rng.uniform(-4.0, 4.0, (3, 1))
-        # One-row phase layers on the half register, gathering into an out buffer, as the plan and energy_grid run them.
+        # One-row later phase layers (a p=2 plan's second) on the half register, gathering into an out buffer, as the
+        # plan and energy_grid run them.
         expected = stack.copy()
         for row, g in zip(expected, gammas):
-            (phases,) = simulator._layer_phases(plan, g[None, None])
+            _, phases = simulator._layer_phases(plan, np.stack([-g, g])[:, None])
             simulator._phase_layer(plan, row[None], phases, np.empty_like(row[None]))
-        # The half gathers the full diagonal's phases: on the expanded row, apply_phase_diagonal gives its bits.
+        # The half gathers the full diagonal's phases times G**2 = (-1)**popcount over the half register's qubits: on
+        # the expanded row, apply_phase_diagonal's values times those signs.
+        signs = expand_half((-1.0) ** popcounts(size), graph.n)
         for row, g, want in zip(stack, gammas[:, 0], expected):
             full = expand_half(row, graph.n)
-            assert np.array_equal(apply_phase_diagonal(full, cost, g), expand_half(want, graph.n))
-        (phases,) = simulator._layer_phases(plan, gammas[None])
+            assert np.array_equal(apply_phase_diagonal(full, cost, g) * signs, expand_half(want, graph.n))
+        _, phases = simulator._layer_phases(plan, np.stack([-gammas, gammas]))
         simulator._phase_layer(plan, stack, phases, np.empty_like(stack))
         assert np.array_equal(stack, expected)
 
@@ -638,14 +686,16 @@ def test_phase_diagonal_refuses_stacks_and_non_scalar_gammas():
 
 
 def reference_run(inst, theta):
-    """One 1-D circuit, layer by layer with scalar angles: the independent reference for the stacked core."""
+    """One 1-D circuit, layer by layer with scalar angles and ref_rx's gate-by-gate mixer: the independent reference
+    for the stacked core."""
     state = prepare_initial(inst.graph.n, inst.backend)
     for gamma, beta in zip(theta.gammas, theta.betas):
         if inst.backend is Backend.DIAGONAL:
             apply_phase_diagonal(state, inst.cost, gamma)
         else:
             apply_phase_gate_level(state, inst.graph, gamma)
-        apply_mixer(state, beta, inst.graph.n)
+        for qubit in range(2 * inst.graph.n):
+            ref_rx(state, qubit, 2.0 * beta)
     assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
     return state
 
@@ -665,43 +715,72 @@ def expand_half(row, n):
     return row[half_index(n)]
 
 
+def frame_units(layer, n):
+    """A layer's factors (-i)**k of the frame, k = popcount mod 4: G times the uniform amplitude 2**-n on the first
+    layer, G**2 = (-1)**k on a later one."""
+    return np.array(UNITS) * 2.0**-n if not layer else np.array([1, -1, 1, -1], dtype=complex)
+
+
 def half_reference_run(inst, theta):
-    """One DIAGONAL circuit on the color-swap half register, layer by layer with scalar angles through the plans'
-    kernels: the per-row reference for DIAGONAL plan rows.  Returns the half row and its energy."""
+    """One DIAGONAL circuit on the color-swap half register in the frame, layer by layer with scalar angles through
+    the plans' kernels: the per-row reference for DIAGONAL plan rows.  Each layer gathers its phases P times
+    frame_units at level + L * k.  Returns the frame's half row and its energy."""
     n = inst.graph.n
     half = CostDiagonal(inst.cost.values[np.argsort(half_index(n))[::2]], n)
     assert np.array_equal(half.values, simulator._half_view(inst.cost.values[None], n).reshape(-1))
     levels, index = half.levels
-    layout = simulator._mixer_layout(n, half=True)
-    state = np.full(half.values.size, 2.0**-n, dtype=complex)
-    for gamma, beta in zip(theta.gammas, theta.betas):
-        state *= np.exp(-0.5j * gamma * levels).take(index)
-        rows, scratch = state[None], np.empty_like(state)[None]
-        blocks = simulator._mixer_blocks(np.full((1, 1), beta), layout)
-        state = simulator._mix(rows, scratch, blocks, simulator._mix_passes(rows, scratch, layout))[0][0].copy()
+    index = index + levels.size * (popcounts(half.values.size) % 4)
+    state = None
+    for layer, (gamma, beta) in enumerate(zip(theta.gammas, theta.betas)):
+        phases = np.exp(-0.5j * gamma * levels)
+        gathered = (phases[None, :] * frame_units(layer, n)[:, None]).reshape(-1).take(index)
+        state = mix((gathered if state is None else state * gathered)[None], np.full((1, 1), beta), n, half=True)[0]
     probs = np.abs(state) ** 2
     assert abs(math.sqrt(2.0 * probs.sum()) - 1.0) <= 1e-10
     return state, 2.0 * float(probs @ half.values)
 
 
+def gate_reference_run(inst, theta):
+    """One GATE circuit in the frame, layer by layer with scalar angles: each gate layer on a register of its own,
+    its color block times frame_units per entry, then the plans' mixer kernel.  The per-row reference for GATE plan
+    rows.  Returns the frame's color row and its energy."""
+    n = inst.graph.n
+    register, counts, row = prepare_initial(n, Backend.GATE), popcounts(4**n) % 4, None
+    for layer, (gamma, beta) in enumerate(zip(theta.gammas, theta.betas)):
+        if row is not None:
+            register[: 4**n] = row
+        apply_phase_gate_level(register, inst.graph, gamma)
+        assert not np.any(register[4**n :])
+        units = frame_units(layer, n) if layer else np.array(UNITS)
+        row = mix((register[: 4**n] * units[counts])[None], np.full((1, 1), beta), n)[0]
+    return row, float(np.abs(row) ** 2 @ inst.cost.values)
+
+
 def reference_row(inst, theta):
-    """What a plan row and its energy must equal bit for bit: GATE's reference_run and its expectation, DIAGONAL's
-    half_reference_run, checked against reference_run to 1e-13."""
-    full = reference_run(inst, theta)
+    """What a plan row and its energy must equal bit for bit: gate_reference_run's or half_reference_run's, each
+    checked, after the frame's G, against reference_run to 1e-13."""
+    n, full = inst.graph.n, reference_run(inst, theta)
     if inst.backend is Backend.GATE:
-        return full, expectation(full, inst.cost)
-    half, energy = half_reference_run(inst, theta)
-    assert np.max(np.abs(expand_half(half, inst.graph.n) - full)) < 1e-13
+        row, energy = gate_reference_run(inst, theta)
+        assert np.max(np.abs(frame(row, 2 * n) - full[: 4**n])) < 1e-13
+    else:
+        row, energy = half_reference_run(inst, theta)
+        assert np.max(np.abs(expand_half(frame(row, 2 * n - 1), n) - full)) < 1e-13
     assert abs(energy - expectation(full, inst.cost)) < 1e-13
-    return half, energy
+    return row, energy
 
 
 def assert_energies_match_reference(inst, thetas):
-    expected = []
+    n, expected = inst.graph.n, []
     for t in thetas:
         row, energy = reference_row(inst, ParameterVector.from_flat(t))
-        want = row if inst.backend is Backend.GATE else expand_half(row, inst.graph.n)
-        assert np.array_equal(run_qaoa(inst, ParameterVector.from_flat(t)).view(np.uint64), want.view(np.uint64))
+        # run_qaoa's state is the row times G, exactly: the same values (a -0.0 may read +0.0).
+        want = np.zeros(len(prepare_initial(n, inst.backend)), dtype=complex)
+        if inst.backend is Backend.GATE:
+            want[: 4**n] = frame(row, 2 * n)
+        else:
+            want = expand_half(frame(row, 2 * n - 1), n)
+        assert np.array_equal(run_qaoa(inst, ParameterVector.from_flat(t)), want)
         expected.append(energy)
     assert _energies(_Plan(inst), thetas).tolist() == expected
 
@@ -719,7 +798,8 @@ def test_stacked_energies_equal_one_circuit_per_row(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_half_register_runs_equal_the_full_register_reference(n):
-    # n=1 has an empty y, n=5 the widest folded first block (16 wide), n=6 the first color swap of its own.
+    # n=1 has an empty y, n=4 the widest folded first block (16 wide), odd n a swap pass with kappa = +-i, and n=6
+    # the first even n whose swap is a pass of its own.
     graphs = [random_complete_graph(n, 70 + n)]
     if n > 1:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)][: 2 * n]
@@ -733,6 +813,33 @@ def test_half_register_runs_equal_the_full_register_reference(n):
                 full = reference_run(inst, theta)
                 assert np.max(np.abs(run_qaoa(inst, theta) - full)) < 1e-13
                 assert abs(_energies(_Plan(inst), [t])[0] - expectation(full, inst.cost)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "backend, n", [(Backend.DIAGONAL, n) for n in range(1, 9)] + [(Backend.GATE, n) for n in range(1, 6)],
+    ids=[f"diagonal-n{n}" for n in range(1, 9)] + [f"gate-n{n}" for n in range(1, 6)],
+)
+def test_plans_match_the_rx_reference_on_every_mixer_layout_kind(backend, n):
+    # Every layout kind against ref_rx's gate-by-gate mixer: the full register (GATE), the half register with the
+    # color swap folded into its first block (even n <= 4), as a pass with kappa = +-i (odd n), and as a pass of its
+    # own because y is wider than a block (n >= 6).
+    layout = simulator._mixer_layout(n, backend is Backend.DIAGONAL)
+    if backend is Backend.GATE:
+        assert all(m == -1 for _, m, _ in layout)
+    elif n % 2 == 0 and n <= 4:
+        assert layout[0][0] > 0 and layout[0][1] == n - 1
+    else:
+        assert layout[0] == (0, n - 1, 0)
+    graph = random_complete_graph(n, 90 + n)
+    rng = np.random.default_rng(110 + n)
+    for p in (1, 2, 3):
+        inst = make_instance(graph, p, backend)
+        thetas = rng.uniform(0.0, 2 * math.pi, (3, 2 * p))
+        for t, energy in zip(thetas, _energies(_Plan(inst), thetas)):
+            theta = ParameterVector.from_flat(t)
+            full = reference_run(inst, theta)
+            assert np.max(np.abs(run_qaoa(inst, theta) - full)) < 1e-13
+            assert abs(energy - expectation(full, inst.cost)) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -837,11 +944,11 @@ def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
 
 @pytest.mark.parametrize("p", [8, 9, 17])
 def test_phase_table_chunks_equal_reference(p):
-    # 2 cost levels and 8 half-register amplitudes: the plan exps the phases of 8 // 2 = 4 layers at a time, so
-    # p = 8, 9 and 17 end on the second chunk boundary, one past it, and one past the fourth.
-    inst = make_instance(parse_edge_list("2 1\n0 1 0.7"), p)
-    assert (inst.cost.levels[0].size, inst.cost.values.size) == (2, 16)
-    assert (_Plan(inst).cost.levels[0].size, _Plan(inst).cost.values.size) == (2, 8)
+    # 2 cost levels and 32 half-register amplitudes: the plan exps the phases of 32 // (4 * 2) = 4 layers at a time,
+    # so p = 8, 9 and 17 end on the second chunk boundary, one past it, and one past the fourth.
+    inst = make_instance(parse_edge_list("3 1\n0 1 0.7"), p)
+    assert (inst.cost.levels[0].size, inst.cost.values.size) == (2, 64)
+    assert (_Plan(inst).cost.levels[0].size, _Plan(inst).cost.values.size) == (2, 32)
     rng = np.random.default_rng(70 + p)
     for count in (1, 5, 17):
         assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
