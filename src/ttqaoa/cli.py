@@ -140,7 +140,7 @@ def run_solve(
     check_simplex_budget(refine_cfg.max_evals, 2 * depth)  # likewise; refine checks again
     inst = make_instance(g, depth, backend)  # likewise: depth, register size and weights
     plan = _Plan(inst)
-    check_gamma_period(plan.cost)
+    check_gamma_period(plan.levels)
     t0 = time.perf_counter()
     colors, optimal = brute_force_max_cut(g, 3)
     if optimal <= 0.0:
@@ -216,6 +216,9 @@ def hist_csv(g: Graph, theta: Sequence[float], shots: int, seed: int, backend: B
         raise ValueError(f"seed must be >= 0, got {seed}")
     check_shots(shots)  # likewise, as solve does
     params = ParameterVector.from_flat(theta)
+    total = total_weight(g)  # a phase angle gamma * cost / 2 reaches gamma * total / 2: refuse an overflow up front
+    if not all(np.isfinite(gamma * total) for gamma in params.gammas):
+        raise ValueError(f"gammas {params.gammas} times the edge weights' sum {total} are not all finite")
     state = run_qaoa(make_instance(g, params.p, backend), params)
     counts = sample_counts(state, shots, np.random.default_rng(seed), color_dim=4**g.n)
     lines = ["bitstring,count,coloring,cut"]

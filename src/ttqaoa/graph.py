@@ -52,7 +52,9 @@ class Graph:
             canonical.append((a, b, w))
         if not np.isfinite(total := sum(w for _, _, w in canonical)):
             raise ValueError(f"edge weights sum to {total}, which is not finite")
-        if not np.isfinite(2 * np.pi * total):  # a phase angle gamma * cost reaches pi * total
+        # A phase angle gamma * cost / 2 reaches pi * total for gamma in [0, 2*pi], solve's and landscape's range; hist
+        # checks its own gammas.
+        if not np.isfinite(2 * np.pi * total):
             raise ValueError(f"edge weights sum to {total}, whose 2*pi multiple is not finite")
         object.__setattr__(self, "edges", tuple(canonical))
 

@@ -4,8 +4,9 @@ buffers, on the full color register or on the color-swap half register that DIAG
 The frame.  With G = diag((-i)**popcount(z)) over the register's qubits, RX(beta) on every qubit is G R G, where R is
 [[cos, sin], [sin, -cos]] on every qubit: real.  The plans hold phi = G**-1 psi, so the mixer proper is R alone, and the
 simulator folds the G factors into its phase layers (see its module docstring).  An entry (j, k) of R on w qubits is
-cos**(w-h) * sin**h * (-1)**popcount(j & k), h = Hamming(j, k): the terms are built for all betas at once by
-np.float_power, which calls libm's pow as Python's ** does, and gathered with their signs, bit for bit Python's
+cos**(w-h) * sin**h * (-1)**popcount(j & k), h = Hamming(j, k): one table of the products cos**a * sin**b, a and b up
+to the widest block's width, is built for all betas at once by np.float_power, which calls libm's pow as Python's **
+does, and every kind gathers its entries from it with their signs, bit for bit Python's
 c ** (w - h) * s ** h * (-1) ** popcount(j & k).
 
 A block pass is one real matmul over the complex stack viewed as floats: the register's qubits plus a re/im bit at the
@@ -26,10 +27,23 @@ import functools
 import numpy as np
 
 _UNITS = (1, -1j, -1, 1j)  # (-i)**k, k mod 4
+# The swap pass's runs (2**n entries) from which it sets numpy's ufunc buffer to one run: shorter, the buffer's chunks
+# cost more than numpy's own buffer, which a stack of at most 8,192 entries bounds (n = 3 and 5: 3-4 us a pass).
+_LONG_RUN = 64
+# Per k = popcount mod 4, the frame's factor G = (-i)**k and its square G**2 = (-1)**k.
+_FRAME_UNITS = np.array([_UNITS, [u * u for u in _UNITS]])
 
 
 def _popcount(x: int) -> int:
     return bin(x).count("1")
+
+
+def _popcounts(qubits: int) -> np.ndarray:
+    """popcount(z) mod 4 for z < 2**qubits, as uint8: the power of -i in the frame's factor of z."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(qubits):
+        counts = np.concatenate([counts, (counts + 1) & 3])
+    return counts
 
 
 @contextlib.contextmanager
@@ -41,6 +55,17 @@ def _ufunc_buffer(entries: int):
         yield
     finally:
         np.setbufsize(old)
+
+
+def _frame(rows: np.ndarray, qubits: int) -> np.ndarray:
+    """Multiply entry z of each row of a stack by the frame's factor (-i)**popcount(z mod 2**qubits) in place: by the
+    factors of its high and of its low qubits, two passes over tables of about 2**(qubits / 2) entries."""
+    low, units = qubits // 2, _FRAME_UNITS[0]
+    view = rows.reshape(len(rows), -1, 1 << qubits - low, 1 << low)
+    with _ufunc_buffer(1 << low):  # runs of 2**low entries
+        view *= units.take(_popcounts(qubits - low))[:, None]
+        view *= units.take(_popcounts(low))
+    return rows
 
 
 def _mixer_layout(n: int, half: bool) -> list[tuple[int, int, int]]:
@@ -66,28 +91,35 @@ def _mixer_layout(n: int, half: bool) -> list[tuple[int, int, int]]:
 
 
 @functools.cache
-def _block_terms(q: int, m: int, tail: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """A block kind's cos exponents w - h and sin exponents h (h = 0..w), the pairs of signed terms that a folded kind
-    sums (None on the others), and the gather of its matrix entries from its signed terms (or sums).
+def _block_terms(q: int, m: int, tail: int, top: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """A block kind's pairs of signed terms that a folded kind sums (None on the others), and the gather of its matrix
+    entries from the signed terms (or sums) of a layout whose widest block is top wide.
 
-    Signed term t + (w + 1) * neg is (-1)**neg * cos**(w - t) * sin**t, and 2 * (w + 1) is 0.0.  (q, -1, 0) is R on q
-    qubits, w = q: entry (j, k) is term Hamming(j, k), negative when popcount(j & k) is odd.  (q, m, tail) with m >= 0
-    is R times the color swap, which acts first, on y, its top m qubits: w = q + 1, and entry (j, k) is the sum of that
-    term (now times cos) and, with k' = k with y complemented, term 1 + Hamming(j, k') times kappa's sign, y's parity in
-    k' and popcount(j & k')'s.  tail = 1 adds the re/im bit below: entry (j, k) is 0.0 where j and k differ in bit 0,
-    else the entry (j >> 1, k >> 1).
+    Signed term a * (top + 1) + b + (top + 1)**2 * neg is (-1)**neg * cos**a * sin**b, and 2 * (top + 1)**2 is 0.0.
+    (0, m, 0) is the color swap's (real, imaginary) pairs: cos, then per y = 0..2**m-1 kappa * (-1)**popcount(y) * sin,
+    kappa = (-i)**(1 - m), each with its other part 0.0.  (q, -1, 0) is R on q qubits, w = q: entry (j, k) is the term
+    with a = w - h, b = h, h = Hamming(j, k), negative when popcount(j & k) is odd.  (q, m, tail) with m >= 0 is R
+    times the color swap, which acts first, on y, its top m qubits: w = q + 1, and entry (j, k) is the sum of that term
+    (now times cos) and, with k' = k with y complemented, the term with h = 1 + Hamming(j, k') times kappa's sign, y's
+    parity in k' and popcount(j & k')'s.  tail = 1 adds the re/im bit below: entry (j, k) is 0.0 where j and k differ in
+    bit 0, else the entry (j >> 1, k >> 1).
     """
-    width = q + (m >= 0)
-    zero = 2 * (width + 1)
+    width, side = q + (m >= 0), top + 1
+    zero = 2 * side * side
 
-    def signed(t: int, negative: bool) -> int:
-        return t + (width + 1) * negative
+    def signed(h: int, negative: bool) -> int:
+        return (width - h) * side + h + side * side * negative
+
+    kappa = _UNITS[(1 - m) % 4]
+    if not q:
+        sines = [signed(1, (-1) ** _popcount(y) * (kappa.real + kappa.imag) < 0) for y in range(1 << m)]
+        return None, np.array([(signed(0, False), zero)] + [(zero, s) if kappa.imag else (s, zero) for s in sines])
 
     def entry(j: int, k: int) -> tuple[int, ...]:
         terms = (signed(_popcount(j ^ k), _popcount(j & k) % 2),)
         if m >= 0:
             swapped = k ^ ((1 << m) - 1) << (q - m)
-            sign = _UNITS[(1 - m) % 4].real * (-1) ** (_popcount(swapped >> (q - m)) + _popcount(j & swapped))
+            sign = kappa.real * (-1) ** (_popcount(swapped >> (q - m)) + _popcount(j & swapped))
             terms += (signed(1 + _popcount(j ^ swapped), sign < 0),)
         return terms
 
@@ -100,39 +132,32 @@ def _block_terms(q: int, m: int, tail: int) -> tuple[np.ndarray, np.ndarray, np.
         sums, codes = np.array(pairs).T, [[pairs.index(code) for code in row] for row in codes]
     else:
         codes = [[code for code, in row] for row in codes]
-    return width - np.arange(width + 1.0), np.arange(width + 1.0), sums, np.array(codes)
-
-
-def _swap_terms(cos: np.ndarray, sin: np.ndarray, m: int) -> np.ndarray:
-    """From (..., 1, 1) cos and sin, the color swap's (..., 1 + 2**m, 1) complex terms: cos, then per y = 0..2**m-1
-    kappa * (-1)**popcount(y) * sin, kappa = (-i)**(1 - m) real or imaginary, each with its other part +0.0."""
-    kappa = _UNITS[(1 - m) % 4]
-    signs = np.array([(-1.0) ** _popcount(y) * (kappa.real + kappa.imag) for y in range(1 << m)])
-    terms = np.zeros((*cos.shape[:-2], 1 + (1 << m), 1), dtype=complex)
-    terms.real[..., 0, 0] = cos[..., 0, 0]
-    (terms.imag if kappa.imag else terms.real)[..., 1:, 0] = signs * sin[..., 0]
-    return terms
+    return sums, np.array(codes)
 
 
 def _mixer_blocks(betas: np.ndarray, layout: list[tuple[int, int, int]]) -> list[np.ndarray]:
     """Per distinct kind of a mixer layout, in first-use order, its (*betas.shape, ...) real matrices (or swap terms).
 
+    Every block kind gathers from one table of signed terms, cos**a * sin**b for a, b up to the widest block's width.
     take, unlike an index gather, keeps the beta axes outermost, so every matrix of a stack takes a lone matrix's BLAS
     path.
     """
     betas = np.asarray(betas)[..., None]
     cos, sin = np.cos(betas), np.sin(betas)
+    kinds = list(dict.fromkeys(layout))
+    exponents = np.arange(1.0 + max(q + (m >= 0) for q, m, _ in kinds))
+    terms = np.float_power(cos, exponents)[..., :, None] * np.float_power(sin, exponents)[..., None, :]
+    terms = terms.reshape(*cos.shape[:-1], -1)
+    table = np.concatenate([terms, -terms, np.zeros_like(cos)], axis=-1)
     blocks = []
-    for q, m, tail in dict.fromkeys(layout):
-        if not q:
-            blocks.append(_swap_terms(cos, sin, m))
-            continue
-        c, s, sums, gather = _block_terms(q, m, tail)
-        terms = np.float_power(cos, c) * np.float_power(sin, s)
-        table = np.concatenate([terms, -terms, np.zeros_like(cos)], axis=-1)
-        if sums is not None:
-            table = table.take(sums[0], axis=-1) + table.take(sums[1], axis=-1)
-        blocks.append(table.take(gather, axis=-1))
+    for q, m, tail in kinds:
+        sums, gather = _block_terms(q, m, tail, exponents.size - 1)
+        if not q:  # the swap's complex terms, (..., 1 + 2**m, 1)
+            blocks.append(table[..., 0, :].take(gather, axis=-1).view(complex))
+        elif sums is None:
+            blocks.append(table.take(gather, axis=-1))
+        else:
+            blocks.append((table.take(sums[0], axis=-1) + table.take(sums[1], axis=-1)).take(gather, axis=-1))
     return blocks
 
 
@@ -162,7 +187,7 @@ def _mix(state: np.ndarray, scratch: np.ndarray, matrices: list, passes: list) -
     """Mix a (B, D) stack in the frame by its per-kind matrices over its _mix_passes: (mixed, free)."""
     for k, src, dst, swap in passes:
         if swap:  # phi(y) <- cos * phi(y) + kappa * (-1)**popcount(y) * sin * phi(y complemented): y's axis reversed
-            with _ufunc_buffer(src.shape[-1]):  # runs of rest entries
+            with _ufunc_buffer(src.shape[-1]) if src.shape[-1] >= _LONG_RUN else contextlib.nullcontext():
                 np.multiply(src[:, ::-1], matrices[k][..., 1:, :], out=dst)
                 src *= matrices[k][..., :1, :]
                 src += dst

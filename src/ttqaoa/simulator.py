@@ -44,8 +44,8 @@ one-row runs bit for bit.  A _Plan (one per solve, landscape and run_qaoa
 call) owns the cost over the register it runs, a state and a scratch buffer
 of at most (rows, D), rows = max(1, STACK_AMPLITUDES // D), and per row count
 its mixer views, dropped when the buffers grow.  The DIAGONAL phases of the L
-cost levels are exped for D // 4L layers at a time, so the table stays within
-a state, and gathered per entry; the first layer gathers 2**-n times them
+cost levels are exped for as many layers at a time as one stack buffer holds,
+rows * D // 4BL for a B-row stack, and gathered per entry; the first layer gathers 2**-n times them
 straight into the state, bit for bit the uniform state phased, as a
 power-of-two scaling is exact.  GATE rows hold the color register: each
 gate layer runs on the plan's ancilla register, checked after it, and rows
@@ -58,6 +58,7 @@ and phase layer on one full statevector.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,14 +66,12 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph
-from .mixer import _UNITS, _half_view, _mix, _mix_passes, _mixer_blocks, _mixer_layout, _ufunc_buffer
+from .mixer import _FRAME_UNITS, _frame, _half_view, _mix, _mix_passes, _mixer_blocks, _mixer_layout, _popcounts
 from .qaoa_model import MAX_QUBITS, CostDiagonal, build_cost_diagonal
 
 NORM_TOL = 1e-10
 # Amplitudes per stacked call in _energies: a 20-row n=4 search batch ran faster as one call than 16+4.
 STACK_AMPLITUDES = 1 << 13
-# (-i)**k and (-1)**k, k = popcount mod 4: the frame's factor G and G**2 (see the module docstring).
-_FRAME_UNITS = np.array([_UNITS, (1, -1, 1, -1)], dtype=complex)
 
 
 class Backend(str, enum.Enum):
@@ -196,25 +195,6 @@ def apply_mixer(state: np.ndarray, beta: float, n: int) -> np.ndarray:
     return state
 
 
-def _popcounts(qubits: int) -> np.ndarray:
-    """popcount(z) mod 4 for z < 2**qubits, as uint8: the power of -i in the frame's factor of z."""
-    counts = np.zeros(1, dtype=np.uint8)
-    for _ in range(qubits):
-        counts = np.concatenate([counts, (counts + 1) & 3])
-    return counts
-
-
-def _frame(rows: np.ndarray, qubits: int) -> np.ndarray:
-    """Multiply entry z of each row of a stack by the frame's factor (-i)**popcount(z mod 2**qubits) in place: by the
-    factors of its high and of its low qubits, two passes over tables of about 2**(qubits / 2) entries."""
-    low, units = qubits // 2, _FRAME_UNITS[0]
-    view = rows.reshape(len(rows), -1, 1 << qubits - low, 1 << low)
-    with _ufunc_buffer(1 << low):  # runs of 2**low entries
-        view *= units.take(_popcounts(qubits - low))[:, None]
-        view *= units.take(_popcounts(low))
-    return rows
-
-
 def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) -> np.ndarray:
     """amplitude[z] *= exp(-i*gamma*cost[z]/2) on one statevector: one exp per cost level, gathered per entry.
 
@@ -283,12 +263,13 @@ class _Plan:
         if self.half:
             self.cost, self.weight = CostDiagonal(_half_view(inst.cost.values[None], n).reshape(-1), n), 2.0
             # Built now, so the level sort's temporaries are freed before any buffer exists.  The phases gather at
-            # level + L * (popcount mod 4), the frame's factor's place: the plan's half cost is its own, so its level
-            # index becomes that index in place.
-            levels, self.index = self.cost.levels
+            # level + L * (popcount mod 4), the frame's factor's place: the plan takes the levels off its own half
+            # cost, which keeps no index that is not a level index, and turns the level index into that one in place.
+            self.levels, self.index = self.cost.levels
+            del vars(self.cost)["levels"]
             counts = _popcounts(2 * n - 1)
             for k in (1, 2, 3):  # masked adds: no intp temporary beside the index
-                np.add(self.index, k * levels.size, out=self.index, where=counts == k)
+                np.add(self.index, k * self.levels.size, out=self.index, where=counts == k)
             # Per layer, the frame's factors of its phases: 2**-n * G on the first, G**2 on a later one.
             self.units = np.repeat(_FRAME_UNITS[1:, None, :, None], inst.depth, axis=0)
             self.units[0] = 2.0**-n * _FRAME_UNITS[0, None, :, None]
@@ -301,6 +282,12 @@ class _Plan:
         # GATE's ancilla register, its ancillas in |00>, and the gamma of the first layer it holds, else None.
         self.register = None if self.half else np.zeros(4 * self.cost.values.size, dtype=complex)
         self.first_gamma = None
+
+    @functools.cached_property
+    def levels(self) -> np.ndarray:
+        """The distinct cost levels, ascending: on DIAGONAL taken with the phase index, on GATE, whose circuits keep no
+        per-entry level index, sorted from the values on first use."""
+        return np.unique(self.cost.values)
 
     def run(self, thetas: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """The p layers and _measure on one register per row of (B, 2p) flat angles, B <= rows.
@@ -355,13 +342,14 @@ def run_qaoa(inst: QaoaInstance, theta: ParameterVector) -> np.ndarray:
 def _layer_phases(plan: _Plan, gammas: np.ndarray):
     """Per layer of (p, B, 1) gammas, what _phase_layer takes: GATE's (B, 1) column, or DIAGONAL's (B, 4L) table of
     the phases P = exp(-0.5j * gamma * level) of the L cost levels times the frame's factors, at level + L * k:
-    2**-n * P * (-i)**k on the first layer, P * (-1)**k on a later one.  The phases of D // 4L layers take one exp,
-    so that tables stay within a state while 4L <= D (integer weights give few levels: 47 at n=8)."""
+    2**-n * P * (-i)**k on the first layer, P * (-1)**k on a later one.  The phases of as many layers as one stack
+    buffer holds, rows * D // 4BL, take one exp, so that tables stay within it while 4BL <= rows * D (integer weights
+    give few levels: 47 at n=8)."""
     if not plan.half:
         yield from gammas
         return
-    levels = plan.cost.levels[0]
-    per_exp = max(1, plan.cost.values.size // (4 * levels.size))
+    levels = plan.levels
+    per_exp = max(1, plan.rows * plan.cost.values.size // (gammas.shape[1] * 4 * levels.size))
     for start in range(0, len(gammas), per_exp):
         table = -0.5j * gammas[start : start + per_exp] * levels
         np.exp(table, out=table)

@@ -339,6 +339,23 @@ def test_main_refuses_weights_whose_phases_overflow(tmp_path, capsys):
         assert capsys.readouterr() == ("", "error: edge weights sum to 1e+308, whose 2*pi multiple is not finite\n")
 
 
+@pytest.mark.parametrize(
+    "text, theta, gammas",
+    [("2 1\n0 1 1e307\n", "100,0.3", (100.0,)), ("2 1\n0 1 2\n", "0.5,1e308,0.3,0.4", (0.5, 1e308))],
+    ids=["huge-weight", "huge-gamma"],
+)
+def test_main_hist_refuses_gammas_whose_phases_overflow(tmp_path, capsys, text, theta, gammas):
+    # hist takes any finite gamma, so a gamma times the weights' sum can overflow where solve's and landscape's
+    # gammas, at most 2*pi, cannot: it is refused before any circuit runs, with one line and no numpy warning.
+    graph = write(tmp_path, "g.txt", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["hist", "--graph", graph, "--theta", theta]) == 1
+    assert caught == []
+    message = f"error: gammas {gammas} times the edge weights' sum {float(text.split()[-1])} are not all finite\n"
+    assert capsys.readouterr() == ("", message)
+
+
 def test_main_landscape_deterministic(tmp_path):
     graph = write(tmp_path, "edge.txt", EDGE_TEXT)
     out = tmp_path / "scan.csv"

@@ -51,9 +51,14 @@ def popcounts(size):
 
 
 def frame(state, qubits):
-    """psi = G phi: entry z of the last axis times (-i)**popcount(z mod 2**qubits), from the frame's definition."""
-    counts = popcounts(1 << qubits)[np.arange(state.shape[-1]) % (1 << qubits)]
-    return state * np.array(UNITS)[counts % 4]
+    """psi = G phi: entry z of the last axis times (-i)**popcount(z mod 2**qubits), from the frame's definition, as
+    the plans apply it: first the factor of z's high qubits, then that of its low qubits (half of them, rounded
+    down), so that the signs of zeros match too."""
+    low = qubits // 2
+    z = np.arange(state.shape[-1]) % (1 << qubits)
+    high_units, low_units = (np.array(UNITS)[popcounts(1 << bits)[part] % 4] for bits, part in
+                             ((qubits - low, z >> low), (low, z % (1 << low))))
+    return state * high_units * low_units
 
 
 def basis(q, z):
@@ -774,13 +779,13 @@ def assert_energies_match_reference(inst, thetas):
     n, expected = inst.graph.n, []
     for t in thetas:
         row, energy = reference_row(inst, ParameterVector.from_flat(t))
-        # run_qaoa's state is the row times G, exactly: the same values (a -0.0 may read +0.0).
+        # run_qaoa's state is the row times G, bit for bit.
         want = np.zeros(len(prepare_initial(n, inst.backend)), dtype=complex)
         if inst.backend is Backend.GATE:
             want[: 4**n] = frame(row, 2 * n)
         else:
             want = expand_half(frame(row, 2 * n - 1), n)
-        assert np.array_equal(run_qaoa(inst, ParameterVector.from_flat(t)), want)
+        assert np.array_equal(run_qaoa(inst, ParameterVector.from_flat(t)).view(np.uint64), want.view(np.uint64))
         expected.append(energy)
     assert _energies(_Plan(inst), thetas).tolist() == expected
 
@@ -944,13 +949,15 @@ def test_stacked_energies_cap_rows_and_check_shape(monkeypatch):
 
 @pytest.mark.parametrize("p", [8, 9, 17])
 def test_phase_table_chunks_equal_reference(p):
-    # 2 cost levels and 32 half-register amplitudes: the plan exps the phases of 32 // (4 * 2) = 4 layers at a time,
-    # so p = 8, 9 and 17 end on the second chunk boundary, one past it, and one past the fourth.
+    # 2 cost levels and 32 half-register amplitudes, 256 rows a stack: a full stack exps the phases of
+    # 256 * 32 // (256 * 4 * 2) = 4 layers at a time, so p = 8, 9 and 17 end on the second chunk boundary, one past
+    # it, and one past the fourth; a lone row exps every layer at once.
     inst = make_instance(parse_edge_list("3 1\n0 1 0.7"), p)
+    plan = _Plan(inst)
     assert (inst.cost.levels[0].size, inst.cost.values.size) == (2, 64)
-    assert (_Plan(inst).cost.levels[0].size, _Plan(inst).cost.values.size) == (2, 32)
+    assert (plan.levels.size, plan.cost.values.size, plan.rows) == (2, 32, 256)
     rng = np.random.default_rng(70 + p)
-    for count in (1, 5, 17):
+    for count in (1, 256):
         assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
 
 
@@ -1110,17 +1117,18 @@ def test_energy_keeps_the_angle_symmetries(graph_name, backend):
 @pytest.mark.parametrize("backend", list(Backend))
 def test_gamma_period_check_keeps_no_gate_level_index(backend):
     # A GATE circuit gathers no phases by level, so its period check must leave no per-entry level index cached on
-    # the instance (32 MiB at n=11); a DIAGONAL plan's check reads the half cost's levels, which the plan builds.
+    # the instance (32 MiB at n=11); a DIAGONAL plan's check reads the levels it takes with its phase index, and its
+    # half cost keeps no level index, as that index is the frame's combined one.
     triangle = parse_edge_list("3 3\n0 1 0.5\n1 2 1.3\n0 2 1.0")
     for graph, refused in ((load_graph(str(GRAPHS / "k5_weighted.edgelist")), False), (triangle, True)):
         plan = _Plan(make_instance(graph, 1, backend))
         if refused:
             with pytest.raises(ValueError, match=re.escape("2*pi gamma period")):
-                check_gamma_period(plan.cost)
+                check_gamma_period(plan.levels)
         else:
-            check_gamma_period(plan.cost)
-        assert ("levels" in vars(plan.cost)) == (backend is Backend.DIAGONAL)
-        assert "levels" not in vars(plan.inst.cost)
+            check_gamma_period(plan.levels)
+        assert np.array_equal(plan.levels, np.unique(plan.cost.values))
+        assert "levels" not in vars(plan.cost) and "levels" not in vars(plan.inst.cost)
 
 
 @pytest.mark.parametrize("backend", list(Backend))
