@@ -44,12 +44,13 @@ one-row runs bit for bit.  A _Plan (one per solve, landscape and run_qaoa
 call) owns the cost over the register it runs, a state and a scratch buffer
 of at most (rows, D), rows = max(1, STACK_AMPLITUDES // D), and per row count
 its mixer views, dropped when the buffers grow.  The DIAGONAL phases of the L
-cost levels are exped for as many layers at a time as one stack buffer holds,
-rows * D // 4BL for a B-row stack, and gathered per entry; the first layer gathers 2**-n times them
-straight into the state, bit for bit the uniform state phased, as a
-power-of-two scaling is exact.  GATE rows hold the color register: each
-gate layer runs on the plan's ancilla register, checked after it, and rows
-that share a first-layer gamma, as a landscape's cells do, share its layer.
+cost levels are exped for as many layers at a time as one stack buffer
+holds, rows * D // 4BL for a B-row stack, and gathered per entry; the first
+layer gathers 2**-n times them straight into the state, bit for bit the
+uniform state phased, as a power-of-two scaling is exact.  GATE rows hold
+the color register: each gate layer runs on the plan's ancilla register,
+checked after it, and rows that share a first-layer gamma, as a landscape's
+cells do, share its layer.
 take's mode="clip" gathers phases (mode="raise" gathers into a fresh
 copy of out first), _mix passes between the buffers, _measure takes
 |amp|**2 in the free one; apply_mixer and apply_phase_diagonal are the mixer
