@@ -139,8 +139,8 @@ def run_solve(
     check_shots(shots)  # before the search, which can take hours; sample_counts checks again
     check_simplex_budget(refine_cfg.max_evals, 2 * depth)  # likewise; refine checks again
     inst = make_instance(g, depth, backend)  # likewise: depth, register size and weights
+    check_gamma_period(inst.cost.values)  # before the plan allocates its buffers
     plan = _Plan(inst)
-    check_gamma_period(plan.levels)
     t0 = time.perf_counter()
     colors, optimal = brute_force_max_cut(g, 3)
     if optimal <= 0.0:
@@ -156,7 +156,7 @@ def run_solve(
     result = refine(_energy_objective(plan), search_theta, refine_cfg)
     t3 = time.perf_counter()
     rows, _ = plan.run(result.theta[None])
-    del plan  # frees the scratch buffer (and DIAGONAL's half cost); rows keep the other
+    del plan  # frees the scratch buffer (and DIAGONAL's half cost and level index); rows keep the other
     (state,) = _full_states(inst, rows)
     del rows  # on DIAGONAL, frees the half register before sampling
     counts = sample_counts(state, shots, np.random.default_rng(shots_seed), color_dim=4**g.n)

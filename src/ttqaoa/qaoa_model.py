@@ -8,11 +8,11 @@ vertex i in bits (2i, 2i+1) of the basis index, high bit (2i+1) first, so vertex
 Angle domain: beta is pi-periodic; gamma is 2*pi-periodic only when every two
 cost levels differ by an even integer (integer weights).  index_to_angles and
 wrap_angles take every angle on [0, 2*pi), so solve checks the gamma period.
+CostDiagonal is plain data; each simulator plan builds the level table it gathers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,25 +42,15 @@ _COLOR_OF_BITS = (0, 1, 2, 2)
 
 @dataclass(frozen=True, eq=False)
 class CostDiagonal:
-    """Diagonal of the cost operator over the 4**n color basis states (in a DIAGONAL plan, over its half register's)."""
+    """Diagonal of the cost operator over the 4**n color basis states."""
 
     values: np.ndarray
     n: int
 
-    @cached_property
-    def levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct values ascending, each entry's index into them), built on first use."""
-        # The stable argsort protes already runs, with the permutation freed early: less resident
-        # code and memory than np.unique(values, return_inverse=True).
-        ordered = self.values[np.argsort(self.values, kind="stable")]
-        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-        return distinct, np.searchsorted(distinct, self.values)
 
-
-def check_gamma_period(levels: np.ndarray) -> None:
-    """Raise unless every two of the distinct cost levels, ascending, differ by an even integer, the condition for a
-    2*pi gamma period."""
-    if np.any(np.diff(levels) % 2):
+def check_gamma_period(values: np.ndarray) -> None:
+    """Raise unless every two cost values differ by an even integer, the condition for a 2*pi gamma period."""
+    if np.any((values - values[0]) % 2):
         raise ValueError("solve needs a 2*pi gamma period: cost levels differing by even integers (integer weights)")
 
 

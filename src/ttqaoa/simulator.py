@@ -41,7 +41,8 @@ for run_qaoa and solve's sampling.
 
 Circuits run as (B, D) stacks on buffers that their caller owns; rows equal
 one-row runs bit for bit.  A _Plan (one per solve, landscape and run_qaoa
-call) owns the cost over the register it runs, a state and a scratch buffer
+call) owns the cost values over the register it runs (on DIAGONAL, with the
+level table it gathers from, built once per plan), a state and a scratch buffer
 of at most (rows, D), rows = max(1, STACK_AMPLITUDES // D), and per row count
 its mixer views, dropped when the buffers grow.  The DIAGONAL phases of the L
 cost levels are exped for as many layers at a time as one stack buffer
@@ -59,7 +60,6 @@ and phase layer on one full statevector.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -197,13 +197,13 @@ def apply_mixer(state: np.ndarray, beta: float, n: int) -> np.ndarray:
 
 
 def apply_phase_diagonal(state: np.ndarray, cost: CostDiagonal, gamma: float) -> np.ndarray:
-    """amplitude[z] *= exp(-i*gamma*cost[z]/2) on one statevector: one exp per cost level, gathered per entry.
+    """amplitude[z] *= exp(-i*gamma*cost[z]/2) on one statevector, bit for bit the plans' per-level exps gathered.
 
     A (B, D) stack, a state of another length or a non-scalar gamma raises: stacks go through _phase_layer.
     """
     if state.shape != cost.values.shape or np.ndim(gamma) != 0:
         raise ValueError(f"a {cost.values.shape} state and scalar gamma expected, got {state.shape}, {np.shape(gamma)}")
-    state *= np.exp(-0.5j * gamma * cost.levels[0]).take(cost.levels[1], mode="clip")
+    state *= np.exp(-0.5j * gamma * cost.values)
     return state
 
 
@@ -258,16 +258,18 @@ class _Plan:
     def __init__(self, inst: QaoaInstance):
         self.inst, n = inst, inst.graph.n
         self.half = inst.backend is Backend.DIAGONAL
-        # The cost over the register the plan runs, and the factor from its norm and <cost> sums to the full register's:
-        # each half-register amplitude stands for two.
-        self.cost, self.weight = inst.cost, 1.0
+        # The cost values over the register the plan runs, and the factor from its norm and <cost> sums to the full
+        # register's: each half-register amplitude stands for two.
+        self.values, self.weight = inst.cost.values, 1.0
         if self.half:
-            self.cost, self.weight = CostDiagonal(_half_view(inst.cost.values[None], n).reshape(-1), n), 2.0
-            # Built now, so the level sort's temporaries are freed before any buffer exists.  The phases gather at
-            # level + L * (popcount mod 4), the frame's factor's place: the plan takes the levels off its own half
-            # cost, which keeps no index that is not a level index, and turns the level index into that one in place.
-            self.levels, self.index = self.cost.levels
-            del vars(self.cost)["levels"]
+            self.values, self.weight = _half_view(inst.cost.values[None], n).reshape(-1), 2.0
+            # The distinct levels, ascending, and each entry's index into them, built before any buffer exists: the
+            # stable argsort protes already runs keeps less resident code and memory than np.unique.  The phases
+            # gather at level + L * (popcount mod 4), the frame's factor's place, so the index turns into that in place.
+            ordered = self.values[np.argsort(self.values, kind="stable")]
+            self.levels = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+            del ordered
+            self.index = np.searchsorted(self.levels, self.values)
             counts = _popcounts(2 * n - 1)
             for k in (1, 2, 3):  # masked adds: no intp temporary beside the index
                 np.add(self.index, k * self.levels.size, out=self.index, where=counts == k)
@@ -277,18 +279,12 @@ class _Plan:
         else:
             self.counts = _popcounts(2 * n)  # GATE rows take the frame's factor per entry after each gate layer
         self.layout = _mixer_layout(n, self.half)
-        self.state = self.scratch = np.empty((0, self.cost.values.size), dtype=complex)
-        self.rows = max(1, STACK_AMPLITUDES // self.cost.values.size)
+        self.state = self.scratch = np.empty((0, self.values.size), dtype=complex)
+        self.rows = max(1, STACK_AMPLITUDES // self.values.size)
         self.views: dict[int, tuple] = {}  # per row count: the buffers' leading rows and each layer's _mix_passes
         # GATE's ancilla register, its ancillas in |00>, and the gamma of the first layer it holds, else None.
-        self.register = None if self.half else np.zeros(4 * self.cost.values.size, dtype=complex)
+        self.register = None if self.half else np.zeros(4 * self.values.size, dtype=complex)
         self.first_gamma = None
-
-    @functools.cached_property
-    def levels(self) -> np.ndarray:
-        """The distinct cost levels, ascending: on DIAGONAL taken with the phase index, on GATE, whose circuits keep no
-        per-entry level index, sorted from the values on first use."""
-        return np.unique(self.cost.values)
 
     def run(self, thetas: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """The p layers and _measure on one register per row of (B, 2p) flat angles, B <= rows.
@@ -350,7 +346,7 @@ def _layer_phases(plan: _Plan, gammas: np.ndarray):
         yield from gammas
         return
     levels = plan.levels
-    per_exp = max(1, plan.rows * plan.cost.values.size // (gammas.shape[1] * 4 * levels.size))
+    per_exp = max(1, plan.rows * plan.values.size // (gammas.shape[1] * 4 * levels.size))
     for start in range(0, len(gammas), per_exp):
         table = -0.5j * gammas[start : start + per_exp] * levels
         np.exp(table, out=table)
@@ -383,12 +379,12 @@ def _phase_layer(plan: _Plan, rows: np.ndarray, phases: np.ndarray, out, uniform
 def _measure(plan: _Plan, rows: np.ndarray, scratch: np.ndarray) -> list[float]:
     """Raise unless every row of a (B, D) stack of plan's register kept unit norm (NaN fails too); then each row's own
     <cost>.  plan.weight scales both sums to the full register's.  No row holds ancillas: _phase_layer checks them."""
-    cost, weight = plan.cost, plan.weight
+    values, weight = plan.values, plan.weight
     probs = np.abs(rows, out=scratch.view(float)[:, : rows.shape[1]])
     for norm in np.sqrt(weight * np.add.reduce(np.square(probs, out=probs), axis=1)).tolist():
         if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError(f"statevector norm drifted to {norm}")
-    return [weight * float(row @ cost.values) for row in probs]
+    return [weight * float(row @ values) for row in probs]
 
 
 def energy_grid(inst: QaoaInstance, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:

@@ -35,7 +35,8 @@ updating whole cores every round.
 The search's trains stay positive: random_tt starts entries at INIT_FLOOR or
 above and a positive train's gradient terms are >= 0, so ascent never lowers
 an entry.  The samplers' clamps and uniform fallback (counted in diagnostics)
-guard signed trains from the API or a checkpoint; non-finite weights raise.
+guard signed trains from the API or a checkpoint; weights or suffix Grams
+that overflow raise ValueError, with numpy's warnings held back.
 """
 from __future__ import annotations
 
@@ -128,6 +129,7 @@ def right_marginals(t: TTDistribution) -> list[np.ndarray]:
     return z
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a weight that overflows is refused by name
 def _draw(
     t: TTDistribution,
     count: int,
@@ -157,7 +159,7 @@ def _draw(
         weights = np.maximum(weights, 0.0, out=weights).reshape(len(phi), nodes)
         mass = weights.sum(axis=1)
         if not mass.max() < math.inf:  # NaN fails too
-            raise ValueError(f"non-finite conditional weight in axis {k}")
+            raise ValueError(f"conditional weight in axis {k} is not finite: the train's weights overflow float64")
         if not mass.min() > 0.0:
             vanished = mass <= 0.0
             weights[vanished] = 1.0
@@ -193,6 +195,7 @@ def sample_batch(
     return _draw(t, count, rng, right_marginals(t), False, diagnostics), diagnostics
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a level that overflows is refused by name
 def suffix_grams(t: TTDistribution) -> list[np.ndarray]:
     """Suffix Gram matrices of the core chain, right to left.
 
@@ -200,12 +203,14 @@ def suffix_grams(t: TTDistribution) -> list[np.ndarray]:
     phi M_k phi^T is the squared-entry mass of the suffix tensor weighted by
     the left interface phi.  Each level is rescaled by its max-abs entry;
     only weight ratios matter downstream and the rescaling keeps long chains
-    away from float under/overflow.
+    away from float under/overflow.  A level that still overflows raises ValueError.
     """
     grams = [np.ones((1, 1))] * (t.d + 1)
     for k, core in reversed(list(enumerate(t.cores))):
         m = np.dot((core @ grams[k + 1]).reshape(len(core), -1), core.reshape(len(core), -1).T)
         peak = np.max(np.abs(m))
+        if not peak < math.inf:  # NaN fails too
+            raise ValueError(f"suffix Gram matrix of core {k} is not finite: the squared train overflows float64")
         if peak > 0.0:
             m = m / peak
         grams[k] = m

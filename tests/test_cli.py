@@ -418,11 +418,28 @@ def test_main_hist_theta_errors(tmp_path, capsys):
 
 def test_main_solve_rejects_weights_without_a_2pi_period(tmp_path, capsys, monkeypatch):
     # E(0.7 + 2*pi, 0.3) != E(0.7, 0.3) on this triangle, so a gamma grid over [0, 2*pi) would miss angles.
-    # The refusal comes before the brute force.
+    # The refusal reads the instance's cost values, so on either backend it comes before the plan (its level table
+    # and buffers) and the brute force.
     monkeypatch.setattr(cli, "brute_force_max_cut", lambda *args: pytest.fail("the brute force ran"))
+    monkeypatch.setattr(cli, "_Plan", lambda *args: pytest.fail("a plan was built"))
     graph = write(tmp_path, "triangle.txt", "3 3\n0 1 0.5\n1 2 1.3\n0 2 1.0\n")
-    assert main(["solve", "--graph", graph, "--p", "1", "--config", write(tmp_path, "conf.txt", TINY_CONFIG)]) == 1
-    assert "2*pi gamma period" in capsys.readouterr().err
+    config = write(tmp_path, "conf.txt", TINY_CONFIG)
+    message = "solve needs a 2*pi gamma period: cost levels differing by even integers (integer weights)"
+    for backend in ("diagonal", "gate"):
+        assert main(["solve", "--graph", graph, "--p", "1", "--config", config, "--backend", backend]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_main_solve_names_an_overflowing_tt_draw(tmp_path, capsys):
+    # A learning rate of 1e200 lifts the TT cores so far that their squares overflow the search's suffix Gram
+    # matrices: one line names it, with no numpy warning on the way.
+    config = write(tmp_path, "conf.txt", "lambda = 1e200\nm = 40\nmax_evals = 10\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--graph", write(tmp_path, "g4.txt", G4_TEXT), "--p", "1", "--config", config]) == 1
+    assert caught == []
+    message = "suffix Gram matrix of core 1 is not finite: the squared train overflows float64"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

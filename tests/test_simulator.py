@@ -14,7 +14,6 @@ from ttqaoa.graph import Graph, cut_value, load_graph, parse_edge_list, random_c
 from ttqaoa.protes import trace_to_csv
 from ttqaoa.qaoa_model import (
     TWO_PI,
-    CostDiagonal,
     build_cost_diagonal,
     check_gamma_period,
     cut_from_energy,
@@ -373,19 +372,22 @@ def reference_mixer_block(betas, kind):
             terms.append((1 + popcount(j ^ swapped), sign))
         return terms
 
+    # Per term of every entry, its h and sign, gathered from the Python terms below: a product by +-1 and a float
+    # addition are exact IEEE operations, so the entries equal Python's.  Entries across re/im bits are 0.0, written
+    # out, as a product by 0.0 can give -0.0.
     size = 1 << q + tail
-    entries = [[None if (j ^ k) & tail else paths(j >> tail, k >> tail) for k in range(size)] for j in range(size)]
-    blocks = []
-    for b in betas.flat:
-        c, s = math.cos(b), math.sin(b)
-        t = [c ** (width - h) * s ** h for h in range(width + 1)]
-        block = [[0.0] * size for _ in range(size)]
-        for j, row in enumerate(entries):
-            for k, e in enumerate(row):
-                if e is not None:
-                    block[j][k] = t[e[0][0]] * e[0][1] if len(e) == 1 else t[e[0][0]] * e[0][1] + t[e[1][0]] * e[1][1]
-        blocks.append(block)
-    return np.array(blocks).reshape(*betas.shape, size, size)
+    zero = np.array([[(j ^ k) & tail != 0 for k in range(size)] for j in range(size)])
+    index, sign = np.zeros((1 + (m >= 0), size, size), dtype=int), np.zeros((1 + (m >= 0), size, size))
+    for j, k in zip(*np.nonzero(~zero)):
+        for term, (h, path_sign) in enumerate(paths(j >> tail, k >> tail)):
+            index[term, j, k], sign[term, j, k] = h, path_sign
+    cos_sin = [(math.cos(b), math.sin(b)) for b in betas.flat]
+    terms = np.array([[c ** (width - h) * s ** h for h in range(width + 1)] for c, s in cos_sin])
+    blocks = terms[:, index[0]] * sign[0]
+    if m >= 0:
+        blocks += terms[:, index[1]] * sign[1]
+    blocks[:, zero] = 0.0
+    return blocks.reshape(*betas.shape, size, size)
 
 
 def reference_mixer_blocks(betas, layout):
@@ -573,18 +575,10 @@ def test_gate_energy_grid_runs_one_gate_layer_per_gamma(monkeypatch):
 
 
 def test_energy_grid_peaks_below_three_states():
-    # The grid's plan at n=8: two one-row buffers of the half register, allocated after its half cost's levels are
+    # The grid's plan at n=8: two one-row buffers of the half register, allocated after the plan's level table is
     # built.  A fresh register per gamma beside a persistent scratch stack once read four states.
     inst = make_instance(random_complete_graph(8, 5), 1)
     state_bytes = 4**8 * 16
-    tracemalloc.start()
-    try:
-        energy_grid(inst, [0.3, 1.2, 2.0], [0.4, 1.1, 2.9])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.1 * state_bytes + inst.cost.levels[1].nbytes
-    # The plan builds its own half cost's levels, so the instance's, built above, change nothing.
     tracemalloc.start()
     try:
         energy_grid(inst, [0.3, 1.2, 2.0], [0.4, 1.1, 2.9])
@@ -643,17 +637,19 @@ def test_phase_diagonal_values():
     ids=["k2", "k3", "k5", "k7", "fractional-triangle", "edgeless"],
 )
 def test_phase_gather_equals_full_exp(graph):
+    # The plans exp each distinct level once and gather per entry; apply_phase_diagonal exps every entry: the same bits.
     cost = build_cost_diagonal(graph)
-    levels, inverse = cost.levels
+    levels, inverse = np.unique(cost.values, return_inverse=True)
     assert np.array_equal(levels[inverse], cost.values)
-    assert np.all(np.diff(levels) > 0)
     rng = np.random.default_rng(graph.n)
     state = rng.standard_normal(4**graph.n) + 1j * rng.standard_normal(4**graph.n)
     for gamma in (0.0, 0.7, -2.9, 0.7 + 2 * math.pi):
         # Named, not inline: numpy may write `state * np.exp(...)` into the
         # exp temporary with its operands swapped, which can move a last bit.
         phases = np.exp(-0.5j * gamma * cost.values)
+        assert np.array_equal(np.exp(-0.5j * gamma * levels).take(inverse), phases)
         assert np.array_equal(apply_phase_diagonal(state.copy(), cost, gamma), state * phases)
+    assert vars(cost).keys() == {"values", "n"}  # plain data: the phase layer caches nothing on it
 
 
 def test_phase_diagonal_stack_rows_match_one_row_calls():
@@ -661,7 +657,7 @@ def test_phase_diagonal_stack_rows_match_one_row_calls():
     for graph in (G4, random_complete_graph(5, 1)):
         cost = build_cost_diagonal(graph)
         plan = _Plan(make_instance(graph, 2))
-        size = plan.cost.values.size
+        size = plan.values.size
         stack = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
         gammas = rng.uniform(-4.0, 4.0, (3, 1))
         # One-row later phase layers (a p=2 plan's second) on the half register, gathering into an out buffer, as the
@@ -731,10 +727,10 @@ def half_reference_run(inst, theta):
     the plans' kernels: the per-row reference for DIAGONAL plan rows.  Each layer gathers its phases P times
     frame_units at level + L * k.  Returns the frame's half row and its energy."""
     n = inst.graph.n
-    half = CostDiagonal(inst.cost.values[np.argsort(half_index(n))[::2]], n)
-    assert np.array_equal(half.values, simulator._half_view(inst.cost.values[None], n).reshape(-1))
-    levels, index = half.levels
-    index = index + levels.size * (popcounts(half.values.size) % 4)
+    half = inst.cost.values[np.argsort(half_index(n))[::2]]
+    assert np.array_equal(half, simulator._half_view(inst.cost.values[None], n).reshape(-1))
+    levels, index = np.unique(half, return_inverse=True)
+    index = index + levels.size * (popcounts(half.size) % 4)
     state = None
     for layer, (gamma, beta) in enumerate(zip(theta.gammas, theta.betas)):
         phases = np.exp(-0.5j * gamma * levels)
@@ -742,7 +738,7 @@ def half_reference_run(inst, theta):
         state = mix((gathered if state is None else state * gathered)[None], np.full((1, 1), beta), n, half=True)[0]
     probs = np.abs(state) ** 2
     assert abs(math.sqrt(2.0 * probs.sum()) - 1.0) <= 1e-10
-    return state, 2.0 * float(probs @ half.values)
+    return state, 2.0 * float(probs @ half)
 
 
 def gate_reference_run(inst, theta):
@@ -954,8 +950,8 @@ def test_phase_table_chunks_equal_reference(p):
     # it, and one past the fourth; a lone row exps every layer at once.
     inst = make_instance(parse_edge_list("3 1\n0 1 0.7"), p)
     plan = _Plan(inst)
-    assert (inst.cost.levels[0].size, inst.cost.values.size) == (2, 64)
-    assert (plan.levels.size, plan.cost.values.size, plan.rows) == (2, 32, 256)
+    assert (np.unique(inst.cost.values).size, inst.cost.values.size) == (2, 64)
+    assert (plan.levels.size, plan.values.size, plan.rows) == (2, 32, 256)
     rng = np.random.default_rng(70 + p)
     for count in (1, 256):
         assert_energies_match_reference(inst, rng.uniform(0.0, 2 * math.pi, (count, 2 * p)))
@@ -1073,7 +1069,7 @@ def test_solve_reports_match_per_row_reference(monkeypatch, graph_name, depth):
 
 def test_first_run_qaoa_peaks_below_three_states():
     inst = make_instance(random_complete_graph(7, 4), 2)
-    assert "levels" not in vars(inst.cost)  # built on first use, not with the diagonal
+    assert vars(inst.cost).keys() == {"values", "n"}  # plain data: each plan builds its own level table
     theta = ParameterVector((0.4, 1.3), (0.9, 0.2))
     tracemalloc.start()
     try:
@@ -1116,19 +1112,25 @@ def test_energy_keeps_the_angle_symmetries(graph_name, backend):
 
 @pytest.mark.parametrize("backend", list(Backend))
 def test_gamma_period_check_keeps_no_gate_level_index(backend):
-    # A GATE circuit gathers no phases by level, so its period check must leave no per-entry level index cached on
-    # the instance (32 MiB at n=11); a DIAGONAL plan's check reads the levels it takes with its phase index, and its
-    # half cost keeps no level index, as that index is the frame's combined one.
+    # The period check reads the cost values, so a GATE solve, whose circuits gather no phases by level, builds no
+    # level table and caches no per-entry index on the instance (32 MiB at n=11).  A DIAGONAL plan builds the table
+    # it gathers from, over its half register, and apply_phase_diagonal caches nothing either.
     triangle = parse_edge_list("3 3\n0 1 0.5\n1 2 1.3\n0 2 1.0")
     for graph, refused in ((load_graph(str(GRAPHS / "k5_weighted.edgelist")), False), (triangle, True)):
-        plan = _Plan(make_instance(graph, 1, backend))
+        inst = make_instance(graph, 1, backend)
         if refused:
             with pytest.raises(ValueError, match=re.escape("2*pi gamma period")):
-                check_gamma_period(plan.levels)
+                check_gamma_period(inst.cost.values)
         else:
-            check_gamma_period(plan.levels)
-        assert np.array_equal(plan.levels, np.unique(plan.cost.values))
-        assert "levels" not in vars(plan.cost) and "levels" not in vars(plan.inst.cost)
+            check_gamma_period(inst.cost.values)
+        assert vars(inst.cost).keys() == {"values", "n"}
+        plan = _Plan(inst)
+        if backend is Backend.GATE:
+            assert not hasattr(plan, "levels") and not hasattr(plan, "index")
+        else:
+            assert np.array_equal(plan.levels, np.unique(plan.values))
+        apply_phase_diagonal(prepare_initial(graph.n), inst.cost, 0.7)
+        assert vars(inst.cost).keys() == {"values", "n"}
 
 
 @pytest.mark.parametrize("backend", list(Backend))

@@ -416,6 +416,23 @@ def test_sample_rejects_non_finite_weights():
                     fn(t, 5, np.random.default_rng(0))
 
 
+def test_squared_draws_that_overflow_raise_one_named_error():
+    # A core scaled by 1e200 squares past float64: its suffix Gram overflows, or, drawn with the unscaled train's
+    # Grams, the draws' own weights at its axis do.  Each raises one ValueError that names the overflow, and no numpy
+    # warning comes first (the suite turns warnings into errors).
+    for k in range(3):
+        t = random_tt(3, 4, 2, np.random.default_rng(5))
+        grams = suffix_grams(t)
+        t.cores[k] *= 1e200
+        message = f"^suffix Gram matrix of core {k} is not finite: the squared train overflows float64$"
+        with pytest.raises(ValueError, match=message):
+            sample_squared(t, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            sample_squared_batch(t, 20, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^conditional weight in axis {k} is not finite: .* overflow float64$"):
+            sample_squared(t, np.random.default_rng(0), grams)
+
+
 def test_sample_squared_scale_invariant():
     t = signed_tt(3, 5, 2, 10)
     scaled = TTDistribution([c * s for c, s in zip(t.cores, (7.0, 0.01, 300.0))])
